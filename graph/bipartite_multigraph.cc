@@ -15,14 +15,6 @@ int BipartiteMultigraph::max_degree() const {
   return degree;
 }
 
-std::size_t BipartiteMultigraph::scratch_capacity() const {
-  std::size_t total = edges_.capacity() + left_edges_.capacity() +
-                      right_edges_.capacity();
-  for (const auto& edges : left_edges_) total += edges.capacity();
-  for (const auto& edges : right_edges_) total += edges.capacity();
-  return total;
-}
-
 void CsrAdjacency::start_build(int left_count, int right_count) {
   left_count_ = left_count;
   vertex_count_ = left_count + right_count;

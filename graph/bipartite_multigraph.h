@@ -24,8 +24,8 @@ struct Edge {
 class BipartiteMultigraph {
  public:
   BipartiteMultigraph(int left_count, int right_count)
-      : left_edges_(as_size(left_count)),
-        right_edges_(as_size(right_count)) {}
+      : left_degree_(as_size(left_count), 0),
+        right_degree_(as_size(right_count), 0) {}
 
   /// Rebuilds the graph in place: drops every edge and resizes the
   /// vertex sets, keeping all array capacities. A graph that is reset
@@ -34,22 +34,16 @@ class BipartiteMultigraph {
   /// multigraph across permutations.
   void reset(int left_count, int right_count) {
     edges_.clear();
-    left_edges_.resize(as_size(left_count));
-    right_edges_.resize(as_size(right_count));
-    for (auto& edges : left_edges_) edges.clear();
-    for (auto& edges : right_edges_) edges.clear();
+    left_degree_.assign(as_size(left_count), 0);
+    right_degree_.assign(as_size(right_count), 0);
   }
 
-  /// Pre-sizes the edge array and every adjacency list: refills with
-  /// at most `edges` edges and at most `degree` edges per vertex never
-  /// allocate. The TrafficServer calls this with its window caps so a
+  /// Pre-sizes the edge array: refills with at most `edges` edges never
+  /// allocate. The TrafficServer calls this with its window cap so a
   /// worst-shape window late in a run cannot grow the graph.
-  void reserve_edges(int edges, int degree) {
-    POPS_CHECK(edges >= 0 && degree >= 0,
-               "reserve_edges needs nonnegative capacities");
+  void reserve_edges(int edges) {
+    POPS_CHECK(edges >= 0, "reserve_edges needs a nonnegative capacity");
     edges_.reserve(as_size(edges));
-    for (auto& list : left_edges_) list.reserve(as_size(degree));
-    for (auto& list : right_edges_) list.reserve(as_size(degree));
   }
 
   /// Adds an edge and returns its id (ids are dense, in insertion
@@ -61,41 +55,34 @@ class BipartiteMultigraph {
                "add_edge: right vertex out of range");
     const int id = edge_count();
     edges_.push_back(Edge{left, right});
-    left_edges_[as_size(left)].push_back(id);
-    right_edges_[as_size(right)].push_back(id);
+    ++left_degree_[as_size(left)];
+    ++right_degree_[as_size(right)];
     return id;
   }
 
-  int left_count() const { return static_cast<int>(left_edges_.size()); }
+  int left_count() const { return static_cast<int>(left_degree_.size()); }
   int right_count() const {
-    return static_cast<int>(right_edges_.size());
+    return static_cast<int>(right_degree_.size());
   }
   int edge_count() const { return static_cast<int>(edges_.size()); }
 
   const Edge& edge(int id) const { return edges_[as_size(id)]; }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  const std::vector<int>& edges_at_left(int left) const {
-    return left_edges_[as_size(left)];
-  }
-  const std::vector<int>& edges_at_right(int right) const {
-    return right_edges_[as_size(right)];
-  }
-
-  int left_degree(int left) const {
-    return static_cast<int>(left_edges_[as_size(left)].size());
-  }
+  int left_degree(int left) const { return left_degree_[as_size(left)]; }
   int right_degree(int right) const {
-    return static_cast<int>(right_edges_[as_size(right)].size());
+    return right_degree_[as_size(right)];
   }
 
   /// Maximum degree over both sides (0 for an empty graph).
   int max_degree() const;
 
-  /// Total capacity of the edge and adjacency arrays, in elements —
-  /// the zero-allocation tests compare this across reset/refill
-  /// cycles.
-  std::size_t scratch_capacity() const;
+  /// Total capacity of the edge and degree arrays, in elements — the
+  /// zero-allocation tests compare this across reset/refill cycles.
+  std::size_t scratch_capacity() const {
+    return edges_.capacity() + left_degree_.capacity() +
+           right_degree_.capacity();
+  }
 
   /// True when every left vertex and every right vertex has the same
   /// degree (vacuously true for the empty graph).
@@ -103,8 +90,8 @@ class BipartiteMultigraph {
 
  private:
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> left_edges_;
-  std::vector<std::vector<int>> right_edges_;
+  std::vector<int> left_degree_;
+  std::vector<int> right_degree_;
 };
 
 /// Flat CSR adjacency view over combined vertex ids: left vertices
@@ -117,8 +104,8 @@ class BipartiteMultigraph {
 /// caller storage (the EdgeColorer's padded regularized edge array).
 /// Both rebuild in place into owned flat arrays, so a view rebuilt for
 /// same-sized inputs never allocates — the divide-and-conquer coloring
-/// kernels call build_subset once per recursion range out of one
-/// reused view instead of copying subgraphs.
+/// backends call build_subset once per matching peel out of one reused
+/// view instead of copying subgraphs.
 ///
 /// Thread-compatible, not thread-safe: every build is a mutation, so
 /// use one view per thread (the EdgeColorer discipline).

@@ -49,10 +49,13 @@ void EdgeColorer::color(const BipartiteMultigraph& graph,
 //
 // setup_regular pads the input to a delta-regular multigraph on
 // max(L, R) + max(L, R) vertices inside dc_edges_ (original edge ids
-// preserved, dummy edges get ids >= edge_count). From then on every
-// step works on a range [lo, hi) of dc_work_, a permutation of padded
-// edge ids: Euler splits partition a range in place, matching peels
-// compact it, and an explicit DncRange stack replaces the recursion.
+// preserved, dummy edges get ids >= edge_count) and lists the padded
+// edge ids in dc_work_ sorted by left vertex. From then on every step
+// works on a range [lo, hi) of dc_work_ that is k-regular on the padded
+// vertex set and keeps that order: left vertex u owns positions
+// [lo + u * k, lo + (u + 1) * k). Even splits write the two halves in
+// that order, matching peels compact the range stably, and an explicit
+// DncRange stack replaces the recursion.
 // ---------------------------------------------------------------------
 
 int EdgeColorer::setup_regular(const BipartiteMultigraph& graph,
@@ -86,46 +89,106 @@ int EdgeColorer::setup_regular(const BipartiteMultigraph& graph,
     }
   }
   POPS_CHECK(next_id == m_pad, "regularize: padded edge count mismatch");
-  dc_color_.assign(as_size(m_pad), -1);
+
+  // Counting sort by left vertex. Every left vertex now has exactly
+  // delta edges, so left u's block starts at u * delta. H is built
+  // source by source and arrives sorted; then the sort is the identity.
   dc_work_.resize(as_size(m_pad));
-  for (int e = 0; e < m_pad; ++e) dc_work_[as_size(e)] = e;
+  int* work = dc_work_.data();
+  bool sorted = true;
+  for (int e = 1; e < m_pad && sorted; ++e) {
+    sorted = edges[e - 1].left <= edges[e].left;
+  }
+  if (sorted) {
+    for (int e = 0; e < m_pad; ++e) work[e] = e;
+  } else {
+    int* next = deg_left;  // next free position of each left block
+    for (int left = 0; left < n; ++left) next[left] = left * delta;
+    for (int e = 0; e < m_pad; ++e) work[next[edges[e].left]++] = e;
+  }
   dc_aux_.resize(as_size(m_pad));
-  dc_side_.resize(as_size(m_pad));
+  dc_partner_.resize(as_size(m_pad));
+  dc_pending_.assign(as_size(n), -1);
   return m_pad;
 }
 
-void EdgeColorer::build_range_view(int lo, int hi) {
-  dc_adj_.build_subset(
-      Span<const int>(dc_work_.data() + lo, as_size(hi - lo)),
-      Span<const Edge>(dc_edges_), regular_n_, regular_n_);
-}
+// Position-paired Euler partition of the k-regular range [lo, hi), k
+// even. Positions lo + 2j and lo + 2j + 1 lie in one left block: they
+// are left pair j. One pass pairs the positions at each right vertex
+// through one pending slot per vertex. Every position then has one
+// left and one right partner, so the pairs close into cycles that
+// alternate left and right links. Alternating sides along each cycle
+// puts one edge of every left pair and of every right pair on each
+// side, so both halves are (k/2)-regular. The walk writes left pair
+// j's side-0 edge to position lo + j and its side-1 edge to
+// lo + (hi - lo) / 2 + j, which keeps every left block contiguous in
+// both halves. Returns the first position of the second half.
+//
+// Positions inside are relative to lo.
+int EdgeColorer::split_even(int lo, int hi) {
+  const Edge* edges = dc_edges_.data();
+  int* work = dc_work_.data() + lo;
+  int* partner = dc_partner_.data() + lo;
+  int* pending = dc_pending_.data();
+  const int size = hi - lo;
+  const int half = size / 2;
+  int right_pairs = 0;
+  for (int i = 0; i < size; ++i) {
+    int& slot = pending[edges[work[i]].right];
+    const int other = slot;
+    // Whether an edge opens or closes a pair is a coin flip, so this
+    // runs branch-free: `opens` is all ones when the edge must wait.
+    const int opens = -static_cast<int>(other < 0);
+    partner[i] = other;
+    partner[(i & opens) | (other & ~opens)] = (other & opens) | (i & ~opens);
+    slot = (i & opens) | ~opens;
+    right_pairs += 1 + opens;
+  }
+  POPS_CHECK(right_pairs == half,
+             "euler split: odd degree at a right vertex of a regular range");
 
-// Euler-splits the range's edges, writing dc_side_[edge id] for every
-// edge in [lo, hi).
-void EdgeColorer::split_range(int lo, int hi) {
-  build_range_view(lo, hi);
-  dc_euler_.split(dc_adj_, Span<const Edge>(dc_edges_),
-                  Span<int>(dc_side_));
+  // A cycle walk from pair j marks every pair it writes with partner
+  // -1 at the pair's even position, and closes when it arrives back at
+  // position 2j.
+  int* out = dc_aux_.data() + lo;
+  for (int j = 0; j < half; ++j) {
+    if (partner[2 * j] < 0) continue;
+    int at = 2 * j;  // the side-0 position of the current pair
+    do {
+      const int mate = at ^ 1;
+      out[at >> 1] = work[at];
+      out[half + (at >> 1)] = work[mate];
+      const int next = partner[mate];
+      partner[at & ~1] = -1;
+      at = next;
+    } while (at != 2 * j);
+  }
+  std::copy(out, out + size, work);
+  return lo + half;
 }
 
 // Peels one perfect matching off the range (a regular bipartite
-// multigraph always has one), colors the matched edges, compacts the
-// rest to the front, and returns the new range end.
-int EdgeColorer::peel_matching(int lo, int hi, int color_value) {
-  build_range_view(lo, hi);
+// multigraph always has one), colors the matched real edges, compacts
+// the rest to the front in order, and returns the new range end.
+int EdgeColorer::peel_matching(int lo, int hi, int color_value,
+                               EdgeColoring& out) {
+  dc_adj_.build_subset(
+      Span<const int>(dc_work_.data() + lo, as_size(hi - lo)),
+      Span<const Edge>(dc_edges_), regular_n_, regular_n_);
   const int size =
       dc_matching_.match(dc_adj_, Span<const Edge>(dc_edges_));
   POPS_CHECK(size == regular_n_,
              "regular multigraph without a perfect matching");
   const int* match_left = dc_matching_.left_edges().data();
   const Edge* edges = dc_edges_.data();
-  int* color = dc_color_.data();
+  const int real_edges = as_int(out.color.size());
+  int* color = out.color.data();
   int* work = dc_work_.data();
   int write = lo;
   for (int i = lo; i < hi; ++i) {
     const int e = work[i];
     if (match_left[edges[e].left] == e) {
-      color[e] = color_value;
+      if (e < real_edges) color[e] = color_value;
     } else {
       work[write++] = e;
     }
@@ -133,87 +196,66 @@ int EdgeColorer::peel_matching(int lo, int hi, int color_value) {
   return write;
 }
 
+// Colors the edges at positions [lo, hi) of dc_work_, skipping padding
+// (ids at or past the real edge count).
+void EdgeColorer::paint(int lo, int hi, int color_value,
+                        EdgeColoring& out) const {
+  const int real_edges = as_int(out.color.size());
+  const int* work = dc_work_.data();
+  int* color = out.color.data();
+  for (int i = lo; i < hi; ++i) {
+    if (work[i] < real_edges) color[work[i]] = color_value;
+  }
+}
+
 void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
                             int bottom_degree, EdgeColoring& out) {
   const int m_pad = setup_regular(graph, delta);
+  out.color.assign(as_size(graph.edge_count()), -1);
+  out.num_colors = delta;
   dc_stack_.reserve(64);
   dc_stack_.clear();
-  if (m_pad > 0) dc_stack_.push_back(DncRange{0, m_pad, delta, 0});
-  int* color = dc_color_.data();
-  int* work = dc_work_.data();
-  const int* side = dc_side_.data();
+  dc_stack_.push_back(DncRange{0, m_pad, delta, 0});
   while (!dc_stack_.empty()) {
     const DncRange range = dc_stack_.back();
     dc_stack_.pop_back();
-    if (range.lo >= range.hi) continue;
     if (range.delta == 1) {
-      for (int i = range.lo; i < range.hi; ++i) {
-        color[work[i]] = range.base;
-      }
-      continue;
-    }
-    if (range.delta == 2 && bottom_degree == 2) {
-      // 2-regular components are even circuits; alternation along each
-      // circuit is a proper 2-coloring.
-      split_range(range.lo, range.hi);
-      for (int i = range.lo; i < range.hi; ++i) {
-        const int e = work[i];
-        color[e] = range.base + side[e];
-      }
+      paint(range.lo, range.hi, range.base, out);
       continue;
     }
     if (range.delta % 2 == 1) {
       // Peel one perfect matching, then continue on the even-degree
       // remainder.
       const int new_hi = peel_matching(range.lo, range.hi,
-                                       range.base + range.delta - 1);
+                                       range.base + range.delta - 1, out);
       dc_stack_.push_back(
           DncRange{range.lo, new_hi, range.delta - 1, range.base});
       continue;
     }
-    // Even degree: Euler split into two exactly (delta/2)-regular
-    // halves; stable-partition the work range by side (side 0 compacts
-    // in place, side 1 spills through dc_aux_).
-    split_range(range.lo, range.hi);
-    int* aux = dc_aux_.data();
-    int write = range.lo;
-    int spill = 0;
-    for (int i = range.lo; i < range.hi; ++i) {
-      const int e = work[i];
-      if (side[e] == 0) {
-        work[write++] = e;
-      } else {
-        aux[spill++] = e;
-      }
+    const int mid = split_even(range.lo, range.hi);
+    if (range.delta == 2 && bottom_degree == 2) {
+      // 2-regular: the pairing cycles are the circuits, and the split
+      // alternates along each one.
+      paint(range.lo, mid, range.base, out);
+      paint(mid, range.hi, range.base + 1, out);
+      continue;
     }
-    std::copy(aux, aux + spill, work + write);
-    const int mid = write;
-    POPS_CHECK(mid - range.lo == (range.hi - range.lo) / 2,
-               "euler split: uneven halves of a regular range");
     dc_stack_.push_back(DncRange{mid, range.hi, range.delta / 2,
                                  range.base + range.delta / 2});
     dc_stack_.push_back(
         DncRange{range.lo, mid, range.delta / 2, range.base});
   }
-  finish_dnc(graph, delta, out);
 }
 
 void EdgeColorer::color_matching_peel(const BipartiteMultigraph& graph,
                                       int delta, EdgeColoring& out) {
   int hi = setup_regular(graph, delta);
+  out.color.assign(as_size(graph.edge_count()), -1);
+  out.num_colors = delta;
   for (int round = 0; round < delta; ++round) {
-    hi = peel_matching(0, hi, round);
+    hi = peel_matching(0, hi, round, out);
   }
   POPS_CHECK(hi == 0, "matching peel left uncolored edges");
-  finish_dnc(graph, delta, out);
-}
-
-// Drops the dummy padding edges (their ids come after the real ones).
-void EdgeColorer::finish_dnc(const BipartiteMultigraph& graph, int delta,
-                             EdgeColoring& out) {
-  out.color.assign(dc_color_.begin(),
-                   dc_color_.begin() + graph.edge_count());
-  out.num_colors = delta;
 }
 
 // ---------------------------------------------------------------------
@@ -432,11 +474,11 @@ std::size_t EdgeColorer::scratch_capacity() const {
          path_.capacity() + sizes_.capacity() + slot_a_.capacity() +
          slot_b_.capacity() + walked_.capacity() + split_fill_.capacity() +
          spread_path_.capacity() + dc_edges_.capacity() +
-         dc_color_.capacity() + dc_work_.capacity() +
-         dc_aux_.capacity() + dc_side_.capacity() +
+         dc_work_.capacity() + dc_aux_.capacity() +
+         dc_partner_.capacity() + dc_pending_.capacity() +
          dc_deg_left_.capacity() + dc_deg_right_.capacity() +
          dc_stack_.capacity() + dc_adj_.scratch_capacity() +
-         dc_euler_.scratch_capacity() + dc_matching_.scratch_capacity();
+         dc_matching_.scratch_capacity();
 }
 
 EdgeColoring color_edges(const BipartiteMultigraph& graph,

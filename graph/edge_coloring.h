@@ -7,10 +7,13 @@
 //
 //   * alternating-path: insert edges one by one; on a color clash flip
 //     a two-colored alternating path (O(V*E) worst case, tiny
-//     constants).
-//   * euler-split: recursively halve the graph with Euler splits; peel
-//     one perfect matching whenever the degree is odd
-//     (O(E log Delta) plus the matchings).
+//     constants). The router colors irregular window traffic with it.
+//   * euler-split: Gabow's Euler-partition divide and conquer. Pad to
+//     Delta-regular, halve every even-degree range with a
+//     position-paired Euler partition (one linear pass plus one cycle
+//     walk), and peel one perfect matching whenever the degree is odd.
+//     With Delta a power of two it never matches: O(E log Delta). The
+//     router's default for the d-regular H.
 //   * matching-peel: peel Delta perfect matchings with Hopcroft-Karp
 //     (O(Delta * E * sqrt(V))).
 //   * circuit-peel: like euler-split but bottoms out at degree 2,
@@ -23,7 +26,6 @@
 #include <string>
 
 #include "graph/bipartite_multigraph.h"
-#include "graph/euler_split.h"
 #include "graph/hopcroft_karp.h"
 #include "support/thread_annotations.h"
 
@@ -60,9 +62,10 @@ struct EdgeColoring {
 /// Every backend runs on flat scratch. The alternating-path backend
 /// uses vertex-major color-slot tables; the divide-and-conquer
 /// backends (euler-split, matching-peel, circuit-peel) run iteratively
-/// over index ranges of one padded delta-regular edge array, rebuilding
-/// a CsrAdjacency view per range instead of copying subgraphs — no
-/// transient BipartiteMultigraph, no per-recursion vectors.
+/// over index ranges of one padded delta-regular edge array kept sorted
+/// by left vertex. An even-degree range splits in place by pairing
+/// positions; only a matching peel builds a CsrAdjacency view of its
+/// range. No transient BipartiteMultigraph, no per-recursion vectors.
 ///
 /// Thread-compatible, not thread-safe: the scratch tables make every
 /// call a mutation, so use one colorer per thread (see
@@ -103,8 +106,8 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
 
   // Divide-and-conquer machinery. The recursion is an explicit stack
   // of ranges [lo, hi) of dc_work_ (edge ids into dc_edges_), each
-  // delta-regular on the padded vertex set and owning the color block
-  // [base, base + delta).
+  // delta-regular on the padded vertex set, sorted by left vertex, and
+  // owning the color block [base, base + delta).
   struct DncRange {
     int lo;
     int hi;
@@ -112,15 +115,13 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
     int base;
   };
   int setup_regular(const BipartiteMultigraph& graph, int delta);
-  void build_range_view(int lo, int hi);
-  void split_range(int lo, int hi);
-  int peel_matching(int lo, int hi, int color_value);
+  int split_even(int lo, int hi);
+  int peel_matching(int lo, int hi, int color_value, EdgeColoring& out);
+  void paint(int lo, int hi, int color_value, EdgeColoring& out) const;
   void color_dnc(const BipartiteMultigraph& graph, int delta,
                  int bottom_degree, EdgeColoring& out);
   void color_matching_peel(const BipartiteMultigraph& graph, int delta,
                            EdgeColoring& out);
-  void finish_dnc(const BipartiteMultigraph& graph, int delta,
-                  EdgeColoring& out);
 
   // Alternating-path scratch. The slot arrays are vertex-major flat
   // tables: slot[vertex * delta + color] is the edge with that color
@@ -136,18 +137,17 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::vector<int> spread_path_;
   std::vector<int> split_fill_;  // per class: the empty class it fills
   // Divide-and-conquer scratch: the padded regularized edge array and
-  // the flat work/side/color arrays the range kernels index into.
-  int regular_n_ = 0;           // padded per-side vertex count
-  std::vector<Edge> dc_edges_;  // real edges first, then padding
-  std::vector<int> dc_color_;   // per padded edge id
-  std::vector<int> dc_work_;    // permutation of padded edge ids
-  std::vector<int> dc_aux_;     // stable-partition spill buffer
-  std::vector<int> dc_side_;    // Euler-split side per padded edge id
+  // the flat per-position arrays the range kernels index into.
+  int regular_n_ = 0;            // padded per-side vertex count
+  std::vector<Edge> dc_edges_;   // real edges first, then padding
+  std::vector<int> dc_work_;     // padded edge ids, by position
+  std::vector<int> dc_aux_;      // split output, copied back
+  std::vector<int> dc_partner_;  // per position: its right-pair mate
+  std::vector<int> dc_pending_;  // per right vertex: unpaired position
   std::vector<int> dc_deg_left_;
   std::vector<int> dc_deg_right_;
   std::vector<DncRange> dc_stack_;
-  CsrAdjacency dc_adj_;
-  EulerSplitKernel dc_euler_;
+  CsrAdjacency dc_adj_;  // built only for matching peels
   MatchingKernel dc_matching_;
 };
 

@@ -2,8 +2,11 @@
 // halves that split every vertex's degree as evenly as possible.
 //
 // This is the Remark 1 workhorse: on a 2k-regular multigraph the split
-// yields two k-regular halves, which is what makes the divide-and-
-// conquer edge-coloring backends O(E log Delta).
+// yields two k-regular halves, which is what makes divide-and-conquer
+// edge coloring O(E log Delta). The EdgeColorer splits its sorted
+// regular ranges with its own position-paired partition
+// (graph/edge_coloring.cc); this trail walker handles any multigraph,
+// odd degrees included.
 #pragma once
 
 #include <vector>
@@ -37,8 +40,7 @@ struct EulerSplitResult {
 ///
 /// All walk state (per-vertex cursors, epoch-stamped used flags) lives
 /// in kernel-owned flat arrays sized by the view, so repeated splits
-/// over same-shaped views perform no steady-state allocation. The
-/// EdgeColorer holds one kernel and calls it once per recursion range.
+/// over same-shaped views perform no steady-state allocation.
 ///
 /// Thread-compatible, not thread-safe: one kernel per thread.
 class POPS_THREAD_COMPATIBLE EulerSplitKernel {

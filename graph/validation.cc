@@ -12,21 +12,18 @@ bool is_valid_edge_coloring(const BipartiteMultigraph& graph,
   for (const int c : coloring.color) {
     if (c < 0 || c >= coloring.num_colors) return false;
   }
-  std::vector<bool> seen(as_size(coloring.num_colors), false);
-  const auto side_ok = [&](const std::vector<int>& incident) {
-    std::fill(seen.begin(), seen.end(), false);
-    for (const int e : incident) {
-      const int c = coloring.color[as_size(e)];
-      if (seen[as_size(c)]) return false;
-      seen[as_size(c)] = true;
+  // seen[vertex * num_colors + c]: left vertices first, then right.
+  const std::size_t colors = as_size(coloring.num_colors);
+  std::vector<char> seen(
+      as_size(graph.left_count() + graph.right_count()) * colors, 0);
+  for (int e = 0; e < graph.edge_count(); ++e) {
+    const std::size_t c = as_size(coloring.color[as_size(e)]);
+    for (const int vertex :
+         {graph.edge(e).left, graph.left_count() + graph.edge(e).right}) {
+      char& slot = seen[as_size(vertex) * colors + c];
+      if (slot != 0) return false;
+      slot = 1;
     }
-    return true;
-  };
-  for (int l = 0; l < graph.left_count(); ++l) {
-    if (!side_ok(graph.edges_at_left(l))) return false;
-  }
-  for (int r = 0; r < graph.right_count(); ++r) {
-    if (!side_ok(graph.edges_at_right(r))) return false;
   }
   return true;
 }

@@ -68,9 +68,9 @@ class BatchRouter {
 
   /// Routes perms[i] into results[i] for every i; blocks until the
   /// whole batch is done. Every worker routes with `options` on its
-  /// own engine (options.coloring is ignored — the backend was fixed
-  /// by BatchRouterConfig::engine). Results are bitwise identical to
-  /// routing the same permutations sequentially on one engine.
+  /// own engine, whose coloring backend BatchRouterConfig::engine
+  /// fixed. Results are bitwise identical to routing the same
+  /// permutations sequentially on one engine.
   /// Concurrent route_batch calls are serialized.
   void route_batch(Span<const Permutation> perms,
                    Span<FlatSchedule> results,

@@ -29,6 +29,11 @@
 // divide-and-conquer backends run iteratively over index ranges of
 // one padded edge array inside EdgeColorer, so none of them builds
 // transient subgraphs.
+//
+// H is colored once per route, by default with euler-split: H arrives
+// d-regular and sorted by source group, so the backend neither pads
+// nor sorts it, and for power-of-two d it only runs position-paired
+// Euler splits (graph/edge_coloring.h).
 #pragma once
 
 #include <iosfwd>
@@ -80,9 +85,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Unified entry point: routes pi with options.strategy and returns
   /// the schedule. options.verify executes the schedule on the
   /// internal strict simulator and aborts on any violation (kBest
-  /// always verifies). options.coloring is ignored — the engine's
-  /// backend is fixed at construction. The returned reference stays
-  /// valid until the next route call on this engine.
+  /// always verifies). The coloring backend is fixed at construction
+  /// (RouterOptions). The returned reference stays valid until the
+  /// next route call on this engine.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 

@@ -44,7 +44,12 @@ HRelationPlan route_h_relation(const Topology& topo,
   plan.h = traffic.max_degree();
   if (plan.h == 0) return plan;
 
-  const EdgeColoring coloring = color_edges(traffic, options.coloring);
+  // Irregular traffic stays on alternating path: padding it to
+  // h-regular for a divide-and-conquer backend costs more than the
+  // coloring saves. options.coloring only picks how the engine colors
+  // each phase's H.
+  const EdgeColoring coloring =
+      color_edges(traffic, ColoringAlgorithm::kAlternatingPath);
   POPS_CHECK(coloring.num_colors == plan.h,
              "König: an h-relation must be h-edge-colorable");
   std::vector<std::vector<int>> requests_of_color(as_size(plan.h));

@@ -53,7 +53,8 @@ struct HRelationPlan {
 };
 
 /// Decomposes the relation into h partial permutations via edge
-/// coloring and routes each through the Theorem 2 router.
+/// coloring (always alternating path) and routes each through the
+/// Theorem 2 router, whose coloring backend `options` picks.
 HRelationPlan route_h_relation(const Topology& topo,
                                const std::vector<Request>& requests,
                                const RouterOptions& options = {});

@@ -24,9 +24,7 @@ int theorem2_slots(const Topology& topo) {
 
 RouteResult route(const Topology& topo, const Permutation& pi,
                   const RouteOptions& options) {
-  RouterOptions engine_options;
-  engine_options.coloring = options.coloring;
-  RoutingEngine engine(topo, engine_options);
+  RoutingEngine engine(topo);
   RouteResult result;
   result.schedule = engine.route(pi, options);  // copies the flat plan
   result.strategy = engine.last_strategy();

@@ -64,8 +64,11 @@ enum class RouteStrategy {
 std::string to_string(RouteStrategy strategy);
 
 struct RouterOptions {
-  /// Edge-coloring backend used for both coloring levels.
-  ColoringAlgorithm coloring = ColoringAlgorithm::kAlternatingPath;
+  /// Edge-coloring backend for H, which a Theorem 2 route colors once
+  /// (each batch reuses H's colors). H is d-regular, so the default
+  /// euler-split backend never pads it and never peels a matching when
+  /// d is a power of two.
+  ColoringAlgorithm coloring = ColoringAlgorithm::kEulerSplit;
 };
 
 /// Options of the unified route() entry point (and of
@@ -77,10 +80,6 @@ struct RouteOptions {
   /// unconditionally; for kDirect/kTheorem2 this buys the same
   /// guarantee at the cost of one simulated execution.
   bool verify = false;
-  /// Edge-coloring backend for the Theorem 2 construction. Ignored by
-  /// RoutingEngine::route / BatchRouter, whose backend is fixed at
-  /// construction (RouterOptions).
-  ColoringAlgorithm coloring = ColoringAlgorithm::kAlternatingPath;
 };
 
 /// What route() returns: the schedule in the canonical flat layout,
@@ -97,8 +96,9 @@ int theorem2_slots(const Topology& topo);
 
 /// One-shot unified entry point: routes pi with options.strategy and
 /// returns the verified-on-request result. Constructs a transient
-/// RoutingEngine per call — bulk callers hold an engine (or a
-/// BatchRouter) instead.
+/// RoutingEngine with the default RouterOptions per call — bulk
+/// callers, and callers that pick a coloring backend, hold an engine
+/// (or a BatchRouter) instead.
 RouteResult route(const Topology& topo, const Permutation& pi,
                   const RouteOptions& options = {});
 

@@ -74,13 +74,11 @@ TrafficServer::TrafficServer(const Topology& topo,
         h_relation_budget(topo_, config_.max_window_degree));
     // No window holds more demands than the count cap, so the coloring
     // never needs a larger color array, and the traffic graph never
-    // holds more edges (nor a vertex of higher degree than the cap).
+    // holds more edges.
     coloring_.color.reserve(as_size(config_.max_window_demands));
-    traffic_.reserve_edges(
-        static_cast<int>(std::min<long long>(
-            config_.max_window_demands,
-            static_cast<long long>(n) * config_.max_window_degree)),
-        std::min(config_.max_window_degree, config_.max_window_demands));
+    traffic_.reserve_edges(static_cast<int>(std::min<long long>(
+        config_.max_window_demands,
+        static_cast<long long>(n) * config_.max_window_degree)));
     // Peak buffer occupancy of a processor: its un-sent window sources
     // plus its delivered packets (each at most the window degree) plus
     // relayed packets in flight (drained within one phase, so at most
@@ -101,11 +99,11 @@ TrafficServer::TrafficServer(const Topology& topo,
 void TrafficServer::prime_scratch() {
   // Drive two synthetic worst-shape windows through the full serving
   // path, then zero the counters: one window concentrated on a single
-  // processor (degree cap — deepest adjacency lists and colorer
-  // tables) and one at the demand-count cap (widest traffic graph,
-  // coloring and phase arrays). Every later window fits inside one of
-  // these shapes, so steady-state serving starts allocation-free
-  // instead of allocation-free-after-warm-up.
+  // processor (degree cap — the largest colorer slot tables) and one
+  // at the demand-count cap (widest traffic graph, coloring and phase
+  // arrays). Every later window fits inside one of these shapes, so
+  // steady-state serving starts allocation-free instead of
+  // allocation-free-after-warm-up.
   const int n = topo_.processor_count();
   const int h = config_.max_window_degree;
   const int degree = std::min(h, config_.max_window_demands);
@@ -193,7 +191,10 @@ void TrafficServer::execute_window() {
   for (const Demand& demand : demands_) {
     traffic_.add_edge(demand.source, demand.destination);
   }
-  colorer_.color(traffic_, config_.router.coloring, coloring_);
+  // Window traffic is irregular: alternating path colors it directly,
+  // where a divide-and-conquer backend would first pad it to h-regular
+  // on n + n vertices.
+  colorer_.color(traffic_, ColoringAlgorithm::kAlternatingPath, coloring_);
   POPS_CHECK(coloring_.num_colors == h,
              "TrafficServer: window must be h-edge-colorable");
 

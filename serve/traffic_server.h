@@ -58,6 +58,10 @@ struct ServerConfig {
   /// Window demand-count cap: the window closes as soon as it holds
   /// this many demands.
   int max_window_demands = 1024;
+  /// How the server's engine colors each phase's H. Window traffic is
+  /// always colored with alternating path: it is irregular, and padding
+  /// it to h-regular for a divide-and-conquer backend costs more than
+  /// the coloring saves.
   RouterOptions router;
   /// Test-only hook: skip the constructor's arena reserves and priming
   /// windows but still arm the steady-state allocation ban. Under

@@ -1,12 +1,16 @@
-// Satellite: unit coverage for color_edges — every backend on random
-// Delta-regular multigraphs (validity + exactly Delta colors) and on
-// degenerate shapes (Delta = 1, n = 1, empty graph).
+// Unit coverage for color_edges — every backend on random
+// Delta-regular multigraphs, on the group multigraphs H that routing
+// actually colors, on padded window traffic (validity + exactly Delta
+// colors), and on degenerate shapes (Delta = 1, n = 1, empty graph).
 #include "graph/edge_coloring.h"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "graph/validation.h"
+#include "perm/permutation.h"
+#include "pops/network.h"
 #include "support/prng.h"
 #include "tests/graph_util.h"
 #include "tests/testing.h"
@@ -81,12 +85,146 @@ POPS_TEST(EveryBackendColorsIrregularGraphs) {
   }
 }
 
+// The group multigraph H of a permutation given as its image array:
+// one edge per packet, source group to destination group, added source
+// by source as the engine adds them (so sorted by left vertex).
+std::vector<Edge> group_edges(const Topology& topo,
+                              const std::vector<int>& images) {
+  std::vector<Edge> edges;
+  for (int source = 0; source < topo.processor_count(); ++source) {
+    edges.push_back(Edge{topo.group_of(source),
+                         topo.group_of(images[as_size(source)])});
+  }
+  return edges;
+}
+
+// A phase as the traffic server routes it: `demands` random requests
+// (distinct sources, distinct destinations), every idle source padded
+// onto the next unused destination. With few demands H is mostly
+// diagonal: most groups send every packet to themselves.
+std::vector<int> padded_phase(int n, int demands, Rng& rng) {
+  std::vector<int> sources(as_size(n));
+  std::vector<int> destinations(as_size(n));
+  for (int p = 0; p < n; ++p) {
+    sources[as_size(p)] = p;
+    destinations[as_size(p)] = p;
+  }
+  rng.shuffle(sources);
+  rng.shuffle(destinations);
+  std::vector<int> image(as_size(n), -1);
+  std::vector<char> used(as_size(n), 0);
+  for (int k = 0; k < demands; ++k) {
+    image[as_size(sources[as_size(k)])] = destinations[as_size(k)];
+    used[as_size(destinations[as_size(k)])] = 1;
+  }
+  int next_free = 0;
+  for (int& target : image) {
+    if (target != -1) continue;
+    while (used[as_size(next_free)] != 0) ++next_free;
+    target = next_free;
+    used[as_size(next_free)] = 1;
+  }
+  return image;
+}
+
+// Colors the multigraph with `edges` with every backend, once with the
+// edges in the given order and once shuffled, on one warm colorer per
+// backend (as the engine and the server hold them): every coloring
+// must be proper with exactly max_degree colors.
+class EveryBackend {
+ public:
+  void expect_colors(int left_count, int right_count,
+                     std::vector<Edge> edges, Rng& rng) {
+    for (int order = 0; order < 2; ++order) {
+      if (order == 1) rng.shuffle(edges);
+      BipartiteMultigraph graph(left_count, right_count);
+      for (const Edge& e : edges) graph.add_edge(e.left, e.right);
+      for (std::size_t k = 0; k < kBackends; ++k) {
+        colorers_[k].color(graph, kAllColoringAlgorithms[k], out_[k]);
+        EXPECT_EQ(out_[k].num_colors, graph.max_degree());
+        EXPECT_TRUE(is_valid_edge_coloring(graph, out_[k]));
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBackends =
+      std::size(kAllColoringAlgorithms);
+  EdgeColorer colorers_[kBackends];
+  EdgeColoring out_[kBackends];
+};
+
+POPS_TEST(EveryBackendColorsTheGroupMultigraphOfRandomPermutations) {
+  // Power-of-two d (pure Euler splits: the benchmark shapes 32/32,
+  // 8/64, 16/8) and d with odd factors (matching peels between splits).
+  Rng rng(25);
+  EveryBackend backends;
+  for (const auto& [d, g] : {std::pair{32, 32}, {8, 64}, {16, 8}, {12, 12},
+                             {24, 8}, {31, 32}, {3, 8}}) {
+    const Topology topo(d, g);
+    for (int trial = 0; trial < 3; ++trial) {
+      const Permutation pi =
+          Permutation::random(topo.processor_count(), rng);
+      backends.expect_colors(g, g, group_edges(topo, pi.images()), rng);
+    }
+  }
+}
+
+POPS_TEST(EveryBackendColorsMostlyDiagonalPaddedPhases) {
+  // serve-zipf's shape: POPS(16, 8) phases of a few to all 128 demands.
+  Rng rng(26);
+  EveryBackend backends;
+  const Topology topo(16, 8);
+  for (const int demands : {0, 1, 5, 20, 40, 128}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::vector<int> image =
+          padded_phase(topo.processor_count(), demands, rng);
+      backends.expect_colors(8, 8, group_edges(topo, image), rng);
+    }
+  }
+}
+
+POPS_TEST(EveryBackendColorsPaddedWindowTraffic) {
+  // Window traffic of the traffic server's shape: 128 + 128 processors,
+  // about 170 demands, degree capped at h. The divide-and-conquer
+  // backends pad it to h-regular first.
+  Rng rng(27);
+  EveryBackend backends;
+  const int n = 128;
+  for (int h = 1; h <= 8; ++h) {
+    std::vector<int> sends(as_size(n), 0);
+    std::vector<int> receives(as_size(n), 0);
+    std::vector<Edge> edges;
+    // A hot sender fixes the degree at exactly h.
+    for (int k = 0; k < h; ++k) {
+      edges.push_back(Edge{0, k});
+      ++sends[0];
+      ++receives[as_size(k)];
+    }
+    for (int attempt = 0; attempt < 400 && edges.size() < 170; ++attempt) {
+      const int source = rng.next_below(n);
+      // A hot destination group of 8 takes half the traffic.
+      const int destination =
+          attempt % 2 == 0 ? rng.next_below(8) : rng.next_below(n);
+      if (sends[as_size(source)] == h ||
+          receives[as_size(destination)] == h) {
+        continue;
+      }
+      edges.push_back(Edge{source, destination});
+      ++sends[as_size(source)];
+      ++receives[as_size(destination)];
+    }
+    backends.expect_colors(n, n, edges, rng);
+  }
+}
+
 POPS_TEST(EveryBackendHasFlatScratchAcrossSameShapedGraphs) {
   // The flatness contract: after one warm-up coloring, repeated
   // colorings of same-shaped graphs never grow any colorer-owned
   // scratch — for ALL four backends, now that the divide-and-conquer
   // ones run iteratively over the padded flat edge array instead of
-  // building transient subgraphs.
+  // building transient subgraphs. Degree 6 runs both divide-and-conquer
+  // steps: Euler splits at degrees 6 and 2, a matching peel at 3.
   for (const auto algorithm : kAllColoringAlgorithms) {
     Rng rng(31);
     EdgeColorer colorer;

@@ -32,7 +32,17 @@ POPS_TEST(MultigraphBasics) {
   EXPECT_FALSE(g.is_regular());
   EXPECT_EQ(g.edge(1).left, 0);
   EXPECT_EQ(g.edge(2).right, 0);
-  EXPECT_EQ(g.edges_at_left(0).size(), std::size_t{2});
+
+  // reset() drops the edges and their degree counts, and may reshape.
+  g.reset(2, 4);
+  EXPECT_EQ(g.left_count(), 2);
+  EXPECT_EQ(g.right_count(), 4);
+  EXPECT_EQ(g.edge_count(), 0);
+  EXPECT_EQ(g.max_degree(), 0);
+  g.add_edge(1, 3);
+  EXPECT_EQ(g.left_degree(0), 0);
+  EXPECT_EQ(g.left_degree(1), 1);
+  EXPECT_EQ(g.right_degree(3), 1);
 }
 
 POPS_TEST(EulerSplitHalvesEvenRegularGraphs) {

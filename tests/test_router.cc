@@ -1,7 +1,8 @@
 // route(topo, pi, options) — the one-shot entry point of the routing
-// API — plus the Theorem 2 slot formula and the deprecated
-// route_permutation shim it replaced.
+// API — plus the Theorem 2 slot formula, every coloring backend on a
+// RoutingEngine, and the deprecated route_permutation shim.
 #include "perm/families.h"
+#include "routing/engine.h"
 #include "routing/router.h"
 #include "routing/verify.h"
 #include "support/prng.h"
@@ -124,17 +125,16 @@ POPS_TEST(RouteBestPicksTheWinner) {
 POPS_TEST(AllColoringBackendsProduceVerifiedPlans) {
   Rng rng(18);
   for (const auto algorithm : kAllColoringAlgorithms) {
-    RouteOptions options;
-    options.strategy = RouteStrategy::kTheorem2;
-    options.coloring = algorithm;
     for (const auto& [d, g] :
          {std::pair{2, 2}, {4, 2}, {3, 4}, {7, 3}, {8, 8}}) {
       const Topology topo(d, g);
+      RoutingEngine engine(topo, RouterOptions{algorithm});
       const Permutation pi =
           Permutation::random(topo.processor_count(), rng);
-      const RouteResult result = route(topo, pi, options);
-      EXPECT_EQ(result.slot_count, theorem2_slots(topo));
-      EXPECT_TRUE(verify_schedule(topo, pi, result.schedule).ok);
+      const FlatSchedule& schedule =
+          engine.route(pi, {RouteStrategy::kTheorem2});
+      EXPECT_EQ(schedule.slot_count(), theorem2_slots(topo));
+      EXPECT_TRUE(verify_schedule(topo, pi, schedule).ok);
     }
   }
 }
