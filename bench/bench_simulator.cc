@@ -83,25 +83,26 @@ void print_tables() {
   print_pattern_table();
 }
 
-// Deliberately benchmarks the deprecated nested execute path: the
+// Executes a nested copy of the schedule, one SlotPlan per slot: the
 // BM_ExecuteSchedule-vs-BM_ExecuteFlatSchedule pair is the measured
-// cost of the nested layout, which is why the flat layout is the
-// canonical one.
+// cost of the nested layout, which is why FlatSchedule is the one
+// schedule layout.
 void BM_ExecuteSchedule(benchmark::State& state) {
   const Topology topo(static_cast<int>(state.range(0)),
                       static_cast<int>(state.range(1)));
   Rng rng(52);
   const Permutation pi = Permutation::random(topo.processor_count(), rng);
   RoutingEngine engine(topo);
-  const std::vector<SlotPlan> slots =
-      engine.route_permutation(pi).to_slot_plans();
+  const FlatSchedule& plan = engine.route_permutation(pi);
+  std::vector<SlotPlan> slots(as_size(plan.slot_count()));
+  for (int s = 0; s < plan.slot_count(); ++s) {
+    slots[as_size(s)].transmissions.assign(plan.slot(s).begin(),
+                                           plan.slot(s).end());
+  }
   Network net(topo);
   for (auto _ : state) {
     net.load_permutation_traffic(pi);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    net.execute(slots);
-#pragma GCC diagnostic pop
+    for (const SlotPlan& slot : slots) net.execute_slot(slot);
   }
   state.SetItemsProcessed(state.iterations() * topo.processor_count() *
                           static_cast<long long>(slots.size()));

@@ -1,15 +1,14 @@
 // Schedule representations for the POPS(d, g) slot model.
 //
-// Two layouts coexist:
+// FlatSchedule is the one schedule layout: the RoutingEngine emits it,
+// and the simulator, verifier and benches consume it. It holds one
+// contiguous Transmission array plus the end offset of every slot.
+// Rebuilding a schedule in place (clear + begin_slot + push) reuses the
+// arrays, so bulk routing performs no steady-state heap allocation.
 //
-//   * SlotPlan / std::vector<SlotPlan> — the original
-//     vector-of-vectors form. Convenient to build by hand in tests and
-//     kept as the compatibility surface of the free routing functions.
-//   * FlatSchedule — the zero-allocation form the RoutingEngine emits
-//     and the simulator, verifier and benches consume: one contiguous
-//     Transmission array plus CSR-style slot offsets. Rebuilding a
-//     schedule in place (clear + begin_slot + push) reuses the arrays,
-//     so bulk routing performs no steady-state heap allocation.
+// SlotPlan is a single hand-built slot: tests and one_to_all() build
+// one, Network::execute_slot runs it, and the nested HRelationPlan
+// phases hold them.
 #pragma once
 
 #include <vector>
@@ -28,27 +27,25 @@ struct Transmission {
   int packet;
 };
 
-/// All transmissions of one time slot (nested legacy layout).
+/// All transmissions of one time slot.
 struct SlotPlan {
   std::vector<Transmission> transmissions;
 };
 
 /// CSR-style schedule: transmissions of slot s are the contiguous
-/// range [offsets_[s], offsets_[s + 1]) of one flat array.
+/// range [slot_ends_[s - 1], slot_ends_[s]) of one flat array (slot 0
+/// starts at 0). A default-constructed schedule owns no storage.
 class FlatSchedule {
  public:
-  FlatSchedule() { clear(); }
-
   /// Drops all slots but keeps the array capacities (the point of the
   /// flat layout: rebuild in place, allocation-free once warm).
   void clear() {
     transmissions_.clear();
-    offsets_.clear();
-    offsets_.push_back(0);
+    slot_ends_.clear();
   }
 
   /// Opens a new (initially empty) slot; push() appends to it.
-  void begin_slot() { offsets_.push_back(as_int(transmissions_.size())); }
+  void begin_slot() { slot_ends_.push_back(as_int(transmissions_.size())); }
 
   /// Appends a transmission to the currently open slot. By value: a
   /// Transmission is three ints, cheaper in registers than behind a
@@ -56,17 +53,17 @@ class FlatSchedule {
   void push(Transmission transmission) {
     POPS_CHECK(slot_count() > 0, "FlatSchedule::push without a slot");
     transmissions_.push_back(transmission);
-    offsets_.back() = as_int(transmissions_.size());
+    slot_ends_.back() = as_int(transmissions_.size());
   }
 
-  int slot_count() const { return as_int(offsets_.size()) - 1; }
+  int slot_count() const { return as_int(slot_ends_.size()); }
   int transmission_count() const { return as_int(transmissions_.size()); }
 
   Span<const Transmission> slot(int s) const {
     POPS_CHECK(s >= 0 && s < slot_count(),
                "FlatSchedule::slot out of range");
-    const int lo = offsets_[as_size(s)];
-    const int hi = offsets_[as_size(s + 1)];
+    const int lo = s == 0 ? 0 : slot_ends_[as_size(s - 1)];
+    const int hi = slot_ends_[as_size(s)];
     return Span<const Transmission>(transmissions_.data() + lo,
                                     as_size(hi - lo));
   }
@@ -75,21 +72,18 @@ class FlatSchedule {
   /// Pre-sizes the arrays so a subsequent rebuild cannot reallocate.
   void reserve(int transmissions, int slots) {
     transmissions_.reserve(as_size(transmissions));
-    offsets_.reserve(as_size(slots + 1));
+    slot_ends_.reserve(as_size(slots));
   }
 
   /// Capacity snapshot for the zero-allocation tests.
   std::size_t transmission_capacity() const {
     return transmissions_.capacity();
   }
-  std::size_t offset_capacity() const { return offsets_.capacity(); }
-
-  /// Copies out to the nested legacy layout (the wrapper API).
-  std::vector<SlotPlan> to_slot_plans() const;
+  std::size_t slot_capacity() const { return slot_ends_.capacity(); }
 
  private:
   std::vector<Transmission> transmissions_;
-  std::vector<int> offsets_;  // slot_count() + 1 entries, offsets_[0] == 0
+  std::vector<int> slot_ends_;  // one entry per slot
 };
 
 }  // namespace pops

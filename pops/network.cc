@@ -113,14 +113,6 @@ void Network::load_packet(Packet packet) {
   ++packet_count_;
 }
 
-bool Network::execute(const std::vector<SlotPlan>& slots) {
-  ScopedAllocationBan ban("Network::execute", steady_banned_);
-  for (const SlotPlan& slot : slots) {
-    if (!execute_slot(slot)) return false;
-  }
-  return true;
-}
-
 bool Network::execute(const FlatSchedule& schedule) {
   ScopedAllocationBan ban("Network::execute", steady_banned_);
   for (int s = 0; s < schedule.slot_count(); ++s) {

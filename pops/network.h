@@ -15,15 +15,16 @@
 // The Network class executes schedules under exactly these rules and
 // refuses (with a recorded failure string) anything that violates
 // them. Every number the benches print comes from a schedule that went
-// through this simulator. Schedules arrive either in the legacy
-// vector<SlotPlan> layout or as FlatSchedule slot spans; all slot
-// bookkeeping lives in stamped scratch arrays owned by the Network,
+// through this simulator. Schedules arrive as FlatSchedule slot spans
+// (or one hand-built SlotPlan at a time); all slot bookkeeping lives
+// in stamped scratch arrays owned by the Network,
 // and the packets themselves live in one pooled SoA slab (fixed-stride
 // per-processor regions over five parallel field arrays), so executing
 // a slot strides contiguous memory and performs no heap allocation
 // once the slab is warm.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,11 @@ class Topology {
   Topology(int d, int g) : d_(d), g_(g) {
     POPS_CHECK(d >= 1, "POPS(d, g) needs d >= 1");
     POPS_CHECK(g >= 1, "POPS(d, g) needs g >= 1");
+    // processor_count() and coupler_count() are ints.
+    POPS_CHECK(d <= std::numeric_limits<int>::max() / g,
+               "POPS(d, g) needs d * g to fit an int");
+    POPS_CHECK(g <= std::numeric_limits<int>::max() / g,
+               "POPS(d, g) needs g * g to fit an int");
   }
 
   int d() const { return d_; }
@@ -189,14 +195,9 @@ class POPS_THREAD_COMPATIBLE Network {
 
   /// Executes the slots in order. Returns false (and records the
   /// failure) as soon as a slot violates the model; later slots are
-  /// not executed. The FlatSchedule overload (and the Span-based
-  /// execute_slot underneath it) is the canonical path; the nested
-  /// vector<SlotPlan> overload delegates slot by slot and survives
-  /// only for legacy plans.
+  /// not executed.
   bool execute(const FlatSchedule& schedule);
-  [[deprecated(
-      "execute a FlatSchedule (or loop execute_slot over Spans)")]]
-  bool execute(const std::vector<SlotPlan>& slots);
+  /// Executes one slot; the SlotPlan overload runs a hand-built slot.
   bool execute_slot(const SlotPlan& slot) {
     return execute_slot(Span<const Transmission>(slot.transmissions));
   }

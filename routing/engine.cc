@@ -35,7 +35,7 @@ RoutingEngine::RoutingEngine(const Topology& topo,
   used_of_group_.reserve(as_size(topo_.g()));
   theorem2_schedule_.reserve(2 * n, theorem2_slots(topo_));
   // Direct schedules: n transmissions over at most d slots.
-  direct_schedule_.reserve(n, topo_.d() + 1);
+  direct_schedule_.reserve(n, topo_.d());
   coupler_count_.reserve(as_size(topo_.coupler_count()));
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
@@ -57,13 +57,11 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
       if (options.verify) verify_or_abort(schedule, pi, "theorem2");
       return schedule;
     }
-    case RouteStrategy::kBest: {
+    case RouteStrategy::kBest:
       // route_best executes both candidates on the internal simulator
-      // unconditionally, so options.verify adds nothing here.
-      const FlatSchedule& schedule = route_best(pi);
-      last_strategy_ = best_strategy_;
-      return schedule;
-    }
+      // unconditionally and records the winner, so options.verify adds
+      // nothing here.
+      return route_best(pi);
   }
   POPS_CHECK(false, "route: unknown RouteStrategy");
   return theorem2_schedule_;  // unreachable
@@ -277,11 +275,103 @@ const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
   // buffering.
   if (direct_schedule_.slot_count() <=
       theorem2_schedule_.slot_count()) {
-    best_strategy_ = RouteStrategy::kDirect;
+    last_strategy_ = RouteStrategy::kDirect;
     return direct_schedule_;
   }
-  best_strategy_ = RouteStrategy::kTheorem2;
+  last_strategy_ = RouteStrategy::kTheorem2;
   return theorem2_schedule_;
+}
+
+const FlatSchedule& RoutingEngine::route_h_relation(
+    Span<const Request> requests) {
+  const int n = topo_.processor_count();
+  const int count = requests.count();
+
+  // The traffic multigraph: one edge per request, processor to
+  // processor, so the edge id is the request id.
+  traffic_.reset(n, n);
+  traffic_.reserve_edges(count);
+  for (const Request& request : requests) {
+    POPS_CHECK(request.source >= 0 && request.source < n,
+               "route_h_relation: request source out of range");
+    POPS_CHECK(request.destination >= 0 && request.destination < n,
+               "route_h_relation: request destination out of range");
+    traffic_.add_edge(request.source, request.destination);
+  }
+  // König: h colors, h the maximum degree. The traffic is irregular,
+  // so alternating path colors it directly, where a divide-and-conquer
+  // backend would first pad it to h-regular on n + n vertices.
+  colorer_.color(traffic_, ColoringAlgorithm::kAlternatingPath,
+                 traffic_coloring_);
+  const int h = traffic_coloring_.num_colors;
+
+  // Bucket the requests by phase with a stable counting sort, so every
+  // phase lists its requests in ascending order. Counting into
+  // offsets[c + 2] and prefix-summing leaves phase c's start in
+  // offsets[c + 1], which then serves as its fill cursor; once filled,
+  // offsets[c] is the start of phase c and the spare last entry goes.
+  phase_offsets_.assign(as_size(h + 2), 0);
+  for (int e = 0; e < count; ++e) {
+    ++phase_offsets_[as_size(traffic_coloring_.color[as_size(e)] + 2)];
+  }
+  for (int c = 0; c < h; ++c) {
+    phase_offsets_[as_size(c + 2)] += phase_offsets_[as_size(c + 1)];
+  }
+  phase_requests_.assign(as_size(count), 0);
+  for (int e = 0; e < count; ++e) {
+    const int c = traffic_coloring_.color[as_size(e)];
+    phase_requests_[as_size(phase_offsets_[as_size(c + 1)]++)] = e;
+  }
+  phase_offsets_.pop_back();
+
+  // At most two transmissions per request (distribute and deliver).
+  h_schedule_.clear();
+  h_schedule_.reserve(2 * count, h * theorem2_slots(topo_));
+  for (int c = 0; c < h; ++c) {
+    // By properness the phase is a partial permutation. Pad it to a
+    // full one (idle sources onto unused destinations, in order) so
+    // Theorem 2 applies as-is; the result is a permutation by
+    // construction, so build_theorem2 runs without a bijectivity pass.
+    image_.assign(as_size(n), -1);
+    request_of_source_.assign(as_size(n), -1);
+    destination_used_.assign(as_size(n), 0);
+    for (const int e : phase_requests(c)) {
+      const Request& request = requests[as_size(e)];
+      image_[as_size(request.source)] = request.destination;
+      request_of_source_[as_size(request.source)] = e;
+      destination_used_[as_size(request.destination)] = 1;
+    }
+    int next_free = 0;
+    for (int p = 0; p < n; ++p) {
+      if (image_[as_size(p)] != -1) continue;
+      while (destination_used_[as_size(next_free)] != 0) ++next_free;
+      image_[as_size(p)] = next_free;
+      destination_used_[as_size(next_free)] = 1;
+    }
+    build_theorem2(image_);
+
+    // Dropping the padding transmissions only relaxes the optical
+    // constraints, so the filtered schedule stays valid. Each kept
+    // transmission is renamed from the engine's packet id (the phase
+    // source) to its request id.
+    for (int s = 0; s < theorem2_schedule_.slot_count(); ++s) {
+      h_schedule_.begin_slot();
+      for (const Transmission& t : theorem2_schedule_.slot(s)) {
+        const int e = request_of_source_[as_size(t.packet)];
+        if (e == -1) continue;
+        h_schedule_.push(Transmission{t.source, t.destination, e});
+      }
+    }
+  }
+  return h_schedule_;
+}
+
+Span<const int> RoutingEngine::phase_requests(int phase) const {
+  POPS_CHECK(phase >= 0 && phase < phase_count(),
+             "phase_requests: phase out of range");
+  const int lo = phase_offsets_[as_size(phase)];
+  const int hi = phase_offsets_[as_size(phase + 1)];
+  return Span<const int>(phase_requests_.data() + lo, as_size(hi - lo));
 }
 
 bool RoutingEngine::delivers(const FlatSchedule& schedule,
@@ -316,12 +406,17 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
       fair_.color.capacity() + source_of_edge_.capacity() +
       used_of_group_.capacity() + intermediate_of_.capacity() +
       theorem2_schedule_.transmission_capacity() +
-      theorem2_schedule_.offset_capacity() +
+      theorem2_schedule_.slot_capacity() +
       coupler_count_.capacity() + coupler_offset_.capacity() +
       coupler_queue_.capacity() + image_seen_stamp_.capacity() +
       direct_schedule_.transmission_capacity() +
-      direct_schedule_.offset_capacity() +
-      (net_.has_value() ? net_->scratch_capacity() : 0);
+      direct_schedule_.slot_capacity() +
+      (net_.has_value() ? net_->scratch_capacity() : 0) +
+      traffic_.scratch_capacity() + traffic_coloring_.color.capacity() +
+      phase_offsets_.capacity() + phase_requests_.capacity() +
+      image_.capacity() + request_of_source_.capacity() +
+      destination_used_.capacity() + h_schedule_.transmission_capacity() +
+      h_schedule_.slot_capacity();
   return footprint;
 }
 

@@ -1,17 +1,18 @@
 // RoutingEngine: all routing strategies for one fixed Topology with
 // zero steady-state heap allocation.
 //
-// This is the canonical routing API. One-shot callers use the free
-// function route(topo, pi, RouteOptions{...}) from routing/router.h;
-// bulk single-threaded callers hold a RoutingEngine and call
+// This is the only code that turns traffic into a schedule. One-shot
+// callers use the free function route(topo, pi, RouteOptions{...})
+// from routing/router.h; bulk single-threaded callers hold a
+// RoutingEngine and call
 //
 //   const FlatSchedule& plan = engine.route(pi, options);
 //
 // per permutation; many-permutation throughput callers use
 // BatchRouter::route_batch (routing/batch_router.h), which confines
-// one warm engine to each worker thread. The historical free functions
-// route_permutation / route_direct / best_route are deprecated shims
-// over this class.
+// one warm engine to each worker thread. h-relations go through
+// route_h_relation, which TrafficServer calls once per window and the
+// free route_h_relation (routing/h_relation.h) wraps.
 //
 // Mei & Rizzi's Theorem 2 construction is oblivious and shape-static
 // for fixed (d, g): H is always d-regular on g + g vertices with
@@ -34,6 +35,12 @@
 // d-regular and sorted by source group, so the backend neither pads
 // nor sorts it, and for power-of-two d it only runs position-paired
 // Euler splits (graph/edge_coloring.h).
+//
+// An h-relation has no fixed shape: its arrays grow with the request
+// count and the degree h. They stay empty until the first
+// route_h_relation call, then keep the capacity of the largest
+// relation routed so far, so a later relation no larger than that one
+// in both respects allocates nothing.
 #pragma once
 
 #include <iosfwd>
@@ -91,8 +98,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
-  /// Strategy that produced the last route() schedule — the concrete
-  /// winner (kDirect or kTheorem2) when kBest was requested.
+  /// Strategy that produced the last route() or route_best() schedule
+  /// — the concrete winner (kDirect or kTheorem2) when kBest was
+  /// requested.
   RouteStrategy last_strategy() const { return last_strategy_; }
 
   /// Theorem 2 schedule for pi: exactly theorem2_slots(topology())
@@ -103,9 +111,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Same schedule for a permutation given as its raw image array
   /// (packet of processor i goes to images[i]). The engine validates
   /// bijectivity into its own stamped scratch, so bulk callers that
-  /// rebuild an image buffer per call — the traffic server's padded
-  /// per-phase permutations — route with zero steady-state allocation
-  /// and no Permutation construction.
+  /// rebuild an image buffer per call route with zero steady-state
+  /// allocation and no Permutation construction.
   const FlatSchedule& route_permutation(Span<const int> images);
 
   /// Intermediate processor of each source's packet in the last
@@ -113,9 +120,21 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// routed directly, as in the d == 1 case).
   Span<const int> intermediate_of() const { return intermediate_of_; }
 
-  /// Greedy direct (no-intermediate) schedule: exactly max-demand
-  /// slots, where max demand is the largest number of packets sharing
-  /// one coupler.
+  /// Greedy direct (no-intermediate) schedule: every packet crosses in
+  /// one hop, and slot t carries the t-th pending packet of every
+  /// coupler queue. In a permutation the sources and destinations are
+  /// pairwise distinct, so the coupler is the only contended resource
+  /// and the schedule takes exactly max-demand slots, where max demand
+  /// is the largest number of packets sharing one coupler. That is
+  /// optimal among direct schedules and exact (one slot) on demand-1
+  /// traffic.
+  ///
+  /// The crossover against Theorem 2's flat 2 * ceil(d / g):
+  ///   * random traffic, d >> g: max demand concentrates near d/g, so
+  ///     direct wins by about a factor 2;
+  ///   * adversarial group-block traffic (vector reversal, group
+  ///     rotation): all d packets of a group share one coupler, so
+  ///     direct degrades to d slots, worse by a factor g/2.
   const FlatSchedule& route_direct(const Permutation& pi);
   int direct_max_demand() const { return direct_max_demand_; }
 
@@ -124,11 +143,38 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// any violation — the engine never hands out an unverified
   /// portfolio plan), and returns the shorter one. Ties go to direct.
   const FlatSchedule& route_best(const Permutation& pi);
-  RouteStrategy best_strategy() const { return best_strategy_; }
   int direct_slot_count() const { return direct_schedule_.slot_count(); }
   int theorem2_slot_count() const {
     return theorem2_schedule_.slot_count();
   }
+
+  /// Routes an h-relation: every processor sends and receives at most
+  /// h of the requests. The traffic multigraph (one edge per request)
+  /// has maximum degree h, so König colors it with h colors; each
+  /// color class is a partial permutation, one phase. Each phase is
+  /// padded to a full permutation (idle sources onto unused
+  /// destinations, in order) and routed by Theorem 2. The returned
+  /// schedule keeps only the real packets, named by request id:
+  /// h * theorem2_slots(topology()) slots, phase c in slots
+  /// [c * theorem2_slots, (c + 1) * theorem2_slots).
+  ///
+  /// Allocation-free once the engine has routed a relation with at
+  /// least as many requests and at least the same degree (see the
+  /// header comment). No ScopedAllocationBan is armed here, because
+  /// the bound depends on the relation rather than on the topology;
+  /// callers that know their largest relation arm one (the
+  /// TrafficServer's window ban). The returned reference, phase_count()
+  /// and phase_requests() stay valid until the next route_h_relation
+  /// call; the permutation routes do not touch them.
+  const FlatSchedule& route_h_relation(Span<const Request> requests);
+  /// The schedule of the last route_h_relation (empty before the
+  /// first).
+  const FlatSchedule& h_relation_schedule() const { return h_schedule_; }
+  /// Phases of the last route_h_relation: its degree h.
+  int phase_count() const { return traffic_coloring_.num_colors; }
+  /// Request ids of phase `phase` of the last route_h_relation, in
+  /// ascending order.
+  Span<const int> phase_requests(int phase) const;
 
   ScratchFootprint scratch_footprint() const;
 
@@ -184,8 +230,21 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   // per-processor buffers and stamp arrays are the engine's largest
   // arena, and the unverified theorem2/direct paths never touch them.
   std::optional<Network> net_;
-  RouteStrategy best_strategy_ = RouteStrategy::kDirect;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
+
+  // --- h-relation scratch (empty until the first route_h_relation) ---
+  // Window traffic is colored by colorer_ too: its alternating-path
+  // tables and the euler-split/spread arrays H uses are disjoint.
+  BipartiteMultigraph traffic_{0, 0};  // n x n, edge id == request id
+  EdgeColoring traffic_coloring_;      // h colors, one per phase
+  // Requests bucketed by phase (CSR): phase c holds
+  // phase_requests_[phase_offsets_[c] .. phase_offsets_[c + 1]).
+  std::vector<int> phase_offsets_;
+  std::vector<int> phase_requests_;
+  std::vector<int> image_;              // the padded phase permutation
+  std::vector<int> request_of_source_;  // -1 for a padding source
+  std::vector<char> destination_used_;
+  FlatSchedule h_schedule_;  // real packets only, by request id
 };
 
 }  // namespace pops

@@ -3,36 +3,31 @@
 //
 // An h-relation is a set of point-to-point requests in which every
 // processor sends at most h packets and receives at most h packets.
-// Model the requests as a bipartite multigraph on the n processors
-// (one edge per request): its maximum degree is exactly the h of the
-// relation, so König edge coloring — the same substrate Theorem 1
-// leans on — splits the traffic into h color classes, each a partial
-// permutation. Padding each class to a full permutation and routing
-// it through the Theorem 2 router gives a verified schedule of
-// h * 2 * ceil(d / g) slots (h slots when d = 1).
+// RoutingEngine::route_h_relation routes one: König edge coloring
+// splits the traffic into h partial permutations, and each one, padded
+// to a full permutation, takes theorem2_slots(topo) slots, so the
+// schedule has h * 2 * ceil(d / g) slots (h slots when d = 1).
+//
+// This header holds the nested view of that result: HRelationPlan
+// lists every phase's requests and slots, which is what tests,
+// verify_h_relation and TrafficServer::last_window_plan() hand
+// around. Building it allocates; the serving path never does.
 #pragma once
 
 #include <vector>
 
-#include "perm/permutation.h"
 #include "pops/network.h"
 #include "routing/router.h"
 
 namespace pops {
 
-/// One packet of an h-relation: `source` must deliver one packet to
-/// `destination`. The packet id is the request's index in the vector
-/// handed to route_h_relation.
-struct Request {
-  int source;
-  int destination;
-};
+class RoutingEngine;
 
 /// One color class of the decomposition: a partial permutation routed
 /// at the Theorem 2 bound.
 struct HRelationPhase {
   /// Indices (into the request vector) of the requests this phase
-  /// delivers.
+  /// delivers, in ascending order.
   std::vector<int> requests;
   /// Exactly theorem2_slots(topo) slots, restricted to the phase's
   /// real packets (padding transmissions are dropped).
@@ -47,14 +42,15 @@ struct HRelationPlan {
 
   /// Sum of every phase's slot count: h * theorem2_slots(topo).
   int total_slots() const;
-  /// Concatenation of every phase's slots, in phase order — the
-  /// executable schedule.
-  std::vector<SlotPlan> all_slots() const;
 };
 
-/// Decomposes the relation into h partial permutations via edge
-/// coloring (always alternating path) and routes each through the
-/// Theorem 2 router, whose coloring backend `options` picks.
+/// The last RoutingEngine::route_h_relation result of `engine`, copied
+/// into the nested layout.
+HRelationPlan h_relation_plan(const RoutingEngine& engine);
+
+/// One-shot wrapper: routes the relation on a transient engine whose
+/// Theorem 2 coloring backend `options` picks (window traffic is
+/// always colored with alternating path) and returns the nested plan.
 HRelationPlan route_h_relation(const Topology& topo,
                                const std::vector<Request>& requests,
                                const RouterOptions& options = {});

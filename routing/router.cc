@@ -32,18 +32,4 @@ RouteResult route(const Topology& topo, const Permutation& pi,
   return result;
 }
 
-// Compatibility shim: the Theorem 2 construction lives in
-// RoutingEngine; this copies the flat schedule into the legacy
-// nested-vector plan. Deprecated — use route() or hold an engine.
-RoutePlan route_permutation(const Topology& topo, const Permutation& pi,
-                            const RouterOptions& options) {
-  RoutingEngine engine(topo, options);
-  const FlatSchedule& flat = engine.route_permutation(pi);
-  RoutePlan plan;
-  plan.slots = flat.to_slot_plans();
-  const Span<const int> mids = engine.intermediate_of();
-  plan.intermediate_of.assign(mids.begin(), mids.end());
-  return plan;
-}
-
 }  // namespace pops

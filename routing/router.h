@@ -22,7 +22,8 @@
 //      coupler, transmitter and receiver constraints hold by (a), (b)
 //      and the properness of the colorings.
 //
-// One-shot callers use the single entry point
+// RoutingEngine (routing/engine.h) is the only code that turns
+// traffic into a schedule. One-shot callers use the single entry point
 //
 //   RouteResult result = route(topo, pi, RouteOptions{...});
 //
@@ -30,15 +31,13 @@
 // the verified best-of-both portfolio), optionally verifies the
 // schedule on the strict simulator, and returns a FlatSchedule plus
 // the strategy that produced it. Bulk callers hold a RoutingEngine
-// (routing/engine.h) and call engine.route(pi, options) to reuse the
-// scratch arenas; many-permutation throughput callers use
-// BatchRouter::route_batch (routing/batch_router.h). The historical
-// free functions route_permutation / route_direct / best_route and
-// their nested-vector plan types survive as deprecated shims.
+// and call engine.route(pi, options) to reuse the scratch arenas;
+// many-permutation throughput callers use BatchRouter::route_batch
+// (routing/batch_router.h); h-relations of Requests go through
+// RoutingEngine::route_h_relation (routing/h_relation.h wraps it).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "graph/edge_coloring.h"
 #include "perm/permutation.h"
@@ -91,6 +90,14 @@ struct RouteResult {
   int slot_count = 0;
 };
 
+/// One packet of an h-relation: `source` must deliver one packet to
+/// `destination`. The packet id is the request's index in the array
+/// handed to route_h_relation.
+struct Request {
+  int source;
+  int destination;
+};
+
 /// The Theorem 2 bound: 1 when d == 1, else 2 * ceil(d / g).
 int theorem2_slots(const Topology& topo);
 
@@ -101,26 +108,5 @@ int theorem2_slots(const Topology& topo);
 /// (or a BatchRouter) instead.
 RouteResult route(const Topology& topo, const Permutation& pi,
                   const RouteOptions& options = {});
-
-// ---------------------------------------------------------------------
-// Deprecated legacy surface (nested-vector plan types). Every shim
-// delegates to the engine; migrate to route() / RoutingEngine::route.
-
-struct RoutePlan {
-  /// The schedule: 1 slot when d == 1, else 2 * ceil(d / g).
-  std::vector<SlotPlan> slots;
-  /// Intermediate processor of each source's packet (the source itself
-  /// when the packet is routed directly, as in the d == 1 case).
-  std::vector<int> intermediate_of;
-
-  int slot_count() const { return static_cast<int>(slots.size()); }
-};
-
-/// Builds a verified-by-construction Theorem 2 schedule for pi.
-[[deprecated(
-    "use route(topo, pi, {RouteStrategy::kTheorem2}) or "
-    "RoutingEngine::route")]]
-RoutePlan route_permutation(const Topology& topo, const Permutation& pi,
-                            const RouterOptions& options = {});
 
 }  // namespace pops

@@ -22,12 +22,23 @@ std::string first_stranded_packet(const Network& net) {
   return "";
 }
 
-// Shared tail of both verify_schedule overloads: the schedule has
-// already been executed on `net`; check full, correct delivery.
-VerificationResult check_permutation_delivery(const Network& net,
-                                              const Permutation& pi) {
+}  // namespace
+
+VerificationResult verify_schedule(const Topology& topo,
+                                   const Permutation& pi,
+                                   const FlatSchedule& schedule) {
   VerificationResult result;
-  const Topology& topo = net.topology();
+  if (pi.size() != topo.processor_count()) {
+    result.failure = str_cat("permutation of size ", pi.size(),
+                             " does not fit ", topo.to_string());
+    return result;
+  }
+  Network net(topo);
+  net.load_permutation_traffic(pi);
+  if (!net.execute(schedule)) {
+    result.failure = net.failure();
+    return result;
+  }
   // Full, correct delivery: every processor ends up holding exactly the
   // packet addressed to it.
   result.failure = first_stranded_packet(net);
@@ -53,52 +64,6 @@ VerificationResult check_permutation_delivery(const Network& net,
   return result;
 }
 
-// Shared body of both verify_schedule overloads; ExecuteFn runs the
-// schedule on the loaded network and returns Network::execute's
-// verdict. A callable (instead of the schedule itself) keeps the
-// nested legacy layout off the canonical path: the deprecated
-// overload loops execute_slot rather than calling the deprecated
-// Network::execute(vector<SlotPlan>).
-template <typename ExecuteFn>
-VerificationResult verify_schedule_impl(const Topology& topo,
-                                        const Permutation& pi,
-                                        ExecuteFn&& execute) {
-  VerificationResult result;
-  if (pi.size() != topo.processor_count()) {
-    result.failure = str_cat("permutation of size ", pi.size(),
-                             " does not fit ", topo.to_string());
-    return result;
-  }
-  Network net(topo);
-  net.load_permutation_traffic(pi);
-  if (!execute(net)) {
-    result.failure = net.failure();
-    return result;
-  }
-  return check_permutation_delivery(net, pi);
-}
-
-}  // namespace
-
-VerificationResult verify_schedule(const Topology& topo,
-                                   const Permutation& pi,
-                                   const std::vector<SlotPlan>& slots) {
-  return verify_schedule_impl(topo, pi, [&slots](Network& net) {
-    for (const SlotPlan& slot : slots) {
-      if (!net.execute_slot(slot)) return false;
-    }
-    return true;
-  });
-}
-
-VerificationResult verify_schedule(const Topology& topo,
-                                   const Permutation& pi,
-                                   const FlatSchedule& schedule) {
-  return verify_schedule_impl(topo, pi, [&schedule](Network& net) {
-    return net.execute(schedule);
-  });
-}
-
 std::string verify_h_relation(const Topology& topo,
                               const std::vector<Request>& requests,
                               const HRelationPlan& plan) {
@@ -115,8 +80,7 @@ std::string verify_h_relation(const Topology& topo,
     net.load_packet(
         Packet{as_int(k), request.source, request.destination, 1, 0});
   }
-  // Execute phase by phase, slot by slot — no nested all_slots() copy
-  // and no call into the deprecated vector<SlotPlan> execute path.
+  // Execute phase by phase, slot by slot.
   for (const HRelationPhase& phase : plan.phases) {
     for (const SlotPlan& slot : phase.slots) {
       if (!net.execute_slot(slot)) return net.failure();

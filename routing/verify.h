@@ -14,8 +14,8 @@
 
 namespace pops {
 
-// From routing/h_relation.h — forward-declared so verify.h stays
-// below the routing stack in the include graph.
+// From routing/router.h and routing/h_relation.h — forward-declared
+// so verify.h stays below the routing stack in the include graph.
 struct Request;
 struct HRelationPlan;
 
@@ -29,19 +29,10 @@ struct VerificationResult {
 /// under the strict POPS model, and checks full delivery. Any model
 /// violation (oversubscribed coupler, double send/receive, phantom
 /// packet) or any undelivered/misdelivered packet fails verification
-/// with a descriptive message. The FlatSchedule overload is the
-/// canonical path — it verifies an engine-produced schedule slot-span
-/// by slot-span, without ever materializing the nested layout.
+/// with a descriptive message.
 VerificationResult verify_schedule(const Topology& topo,
                                    const Permutation& pi,
                                    const FlatSchedule& schedule);
-
-/// Nested legacy overload: delegates slot by slot. Survives only for
-/// hand-built vector<SlotPlan> plans; new code builds a FlatSchedule.
-[[deprecated("verify a FlatSchedule instead of nested SlotPlans")]]
-VerificationResult verify_schedule(const Topology& topo,
-                                   const Permutation& pi,
-                                   const std::vector<SlotPlan>& slots);
 
 /// h-relation counterpart of verify_schedule: loads one packet per
 /// request (id == request index), executes every phase's slots in

@@ -11,7 +11,11 @@
 #    comments stripped: `new`, node-based standard containers,
 #    malloc/calloc/realloc, std::function. A line may opt out with a
 #    trailing `// lint:allow <reason>` comment.
-# 3. Runs clang-tidy (config: .clang-tidy) over the library .cc files
+# 3. Greps every library source for `[[deprecated`, comments stripped
+#    as above. This repository is the library's only consumer, so an
+#    API change migrates its callers in the same change; a deprecated
+#    shim would only be a second path to maintain.
+# 4. Runs clang-tidy (config: .clang-tidy) over the library .cc files
 #    using the compile database in the build directory. If clang-tidy
 #    is not installed the step is skipped with a notice unless
 #    POPS_LINT_REQUIRE_CLANG_TIDY=1 (CI sets this). Set
@@ -19,7 +23,9 @@
 #
 # Findings are printed as `file:line: message` (with GitHub
 # `::error file=...` annotations when running under CI) and the script
-# exits nonzero if anything is found.
+# exits nonzero if anything is found. On success it prints the library
+# line count (wc -l over the checked directories), which every change
+# reports.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,7 +103,16 @@ for path in "${!manifest_tag[@]}"; do
   done < <(sed 's|//.*$||' "${path}" | grep -nE "${forbidden}" | cut -d: -f1 | sed 's/$/:/')
 done
 
-# --- 3. clang-tidy -------------------------------------------------
+# --- 3. no deprecated shims in the library -------------------------
+while IFS= read -r source; do
+  while IFS=: read -r lineno _; do
+    [[ -n "${lineno}" ]] || continue
+    error "${source}" "${lineno}" \
+      "[[deprecated]] in the library: migrate the callers and delete the old API instead"
+  done < <(sed 's|//.*$||' "${source}" | grep -nF '[[deprecated' | cut -d: -f1 | sed 's/$/:/')
+done < <(find "${checked_dirs[@]}" -name '*.cc' -o -name '*.h' | sort)
+
+# --- 4. clang-tidy -------------------------------------------------
 if [[ "${POPS_LINT_SKIP_CLANG_TIDY:-0}" == 1 ]]; then
   echo "lint: skipping clang-tidy (POPS_LINT_SKIP_CLANG_TIDY=1)"
 elif ! command -v clang-tidy > /dev/null 2>&1; then
@@ -123,4 +138,5 @@ if [[ "${failures}" -gt 0 ]]; then
   echo "lint: ${failures} finding(s)" >&2
   exit 1
 fi
-echo "lint: clean"
+library_lines="$(find "${checked_dirs[@]}" -name '*.cc' -o -name '*.h' | sort | xargs cat | wc -l)"
+echo "lint: clean (library: ${library_lines} lines in ${checked_dirs[*]})"

@@ -5,12 +5,11 @@
 // asks for. It accepts an open-loop stream of point-to-point demands,
 // accumulates them into a window that is always a valid h-relation
 // (the degree cap is enforced on admission, so the König decomposition
-// below never sees a window of unbounded degree), and on window close
-// routes the window with one reused RoutingEngine — the same
-// decomposition as routing/h_relation, re-implemented against
-// server-owned scratch so that steady-state serving performs no heap
-// allocation — executes the schedule on the strict simulator, and
-// aborts rather than report counters from an unverified window.
+// never sees a window of unbounded degree), and on window close hands
+// the window to its RoutingEngine's route_h_relation, which decomposes
+// and routes it. The server then executes the schedule on the strict
+// simulator and aborts rather than report counters from an unverified
+// window.
 //
 // Time is measured in slots ("ticks"): demands carry the arrival tick
 // of their open-loop generator, a window executes at
@@ -19,14 +18,15 @@
 // the tick distance from its arrival to its window's execution,
 // aggregated in a fixed-bucket histogram (p50/p99 without allocation).
 //
-// Ownership follows the RoutingEngine discipline: the server owns
-// every intermediate — the traffic multigraph, the coloring, the
-// per-phase padding arrays, the filtered flat schedule, the simulator
-// — and rebuilds them in place per window. scratch_footprint() is the
-// aggregate capacity the soak tests compare across thousands of
-// windows; under POPS_ALLOC_GUARD builds the contract is additionally
-// enforced at runtime: every post-priming window executes inside a
-// ScopedAllocationBan.
+// Ownership follows the RoutingEngine discipline: the server owns its
+// window arrays, the engine (which owns every routing intermediate)
+// and the simulator, and rebuilds them in place per window. The
+// constructor primes them with two worst-shape windows, so the
+// engine's h-relation arenas start at their largest size.
+// scratch_footprint() is the aggregate capacity the soak tests compare
+// across thousands of windows; under POPS_ALLOC_GUARD builds the
+// contract is additionally enforced at runtime: every post-priming
+// window executes inside a ScopedAllocationBan.
 //
 // Unlike the engines below it, the server IS thread-safe: all mutable
 // state is guarded by one mutex (annotations checked by clang
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "pops/flat_plan.h"
 #include "pops/network.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
@@ -59,9 +58,8 @@ struct ServerConfig {
   /// this many demands.
   int max_window_demands = 1024;
   /// How the server's engine colors each phase's H. Window traffic is
-  /// always colored with alternating path: it is irregular, and padding
-  /// it to h-regular for a divide-and-conquer backend costs more than
-  /// the coloring saves.
+  /// always colored with alternating path (see
+  /// RoutingEngine::route_h_relation).
   RouterOptions router;
   /// Test-only hook: skip the constructor's arena reserves and priming
   /// windows but still arm the steady-state allocation ban. Under
@@ -72,13 +70,14 @@ struct ServerConfig {
 };
 
 /// Power-of-two-bucket latency histogram: bucket k counts delays in
-/// [2^(k-1), 2^k) (bucket 0 counts exact zeros). Fixed storage, so
-/// recording is allocation-free; percentiles are bucket upper bounds.
+/// [2^(k-1), 2^k) (bucket 0 counts exact zeros, bucket 64 reaches
+/// UINT64_MAX). Fixed storage, so recording is allocation-free;
+/// percentiles are bucket upper bounds.
 struct DelayHistogram {
   long long count = 0;
   unsigned long long sum = 0;
   std::uint64_t max = 0;
-  std::array<long long, 64> buckets{};
+  std::array<long long, 65> buckets{};
 
   void record(std::uint64_t delay);
   /// Upper bound of the bucket holding the q-quantile (q in [0, 1]);
@@ -163,18 +162,19 @@ class TrafficServer {
   /// Degree of the last executed window (0 before the first window).
   int last_window_degree() const POPS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return last_h_;
+    return engine_.phase_count();
   }
   /// Slot count of the last executed window.
   int last_window_slots() const POPS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return window_schedule_.slot_count();
+    return engine_.h_relation_schedule().slot_count();
   }
 
   /// Debug/verification accessors: the last executed window as the
-  /// routing/h_relation types, so tests can feed the server's output
-  /// through verify_h_relation. These materialize fresh vectors and
-  /// are not part of the serving hot path.
+  /// routing/h_relation types (the plan is h_relation_plan() of the
+  /// server's engine), so tests can feed the server's output through
+  /// verify_h_relation. These materialize fresh vectors and are not
+  /// part of the serving hot path.
   std::vector<Request> last_window_requests() const POPS_EXCLUDES(mu_);
   HRelationPlan last_window_plan() const POPS_EXCLUDES(mu_);
 
@@ -210,23 +210,13 @@ class TrafficServer {
   std::uint64_t window_max_arrival_ POPS_GUARDED_BY(mu_) = 0;
   long long window_payload_ POPS_GUARDED_BY(mu_) = 0;
 
-  // --- Routing scratch (rebuilt in place per window) ---
+  // --- Routing (rebuilt in place per window) ---
+  // The last executed window as requests (request id == demand index
+  // in the window); the engine keeps its phases and schedule until the
+  // next window closes.
+  std::vector<Request> requests_ POPS_GUARDED_BY(mu_);
   RoutingEngine engine_ POPS_GUARDED_BY(mu_);
-  BipartiteMultigraph traffic_ POPS_GUARDED_BY(mu_);  // one edge/demand
-  EdgeColorer colorer_ POPS_GUARDED_BY(mu_);
-  EdgeColoring coloring_ POPS_GUARDED_BY(mu_);  // h-coloring of traffic
-  std::vector<int> phase_offsets_ POPS_GUARDED_BY(mu_);  // CSR, h + 1
-  std::vector<int> phase_demands_ POPS_GUARDED_BY(mu_);  // by phase
-  std::vector<int> phase_cursor_ POPS_GUARDED_BY(mu_);   // sort cursors
-  std::vector<int> image_ POPS_GUARDED_BY(mu_);  // padded permutation
-  std::vector<int> demand_of_source_ POPS_GUARDED_BY(mu_);
-  std::vector<char> destination_used_ POPS_GUARDED_BY(mu_);
-  FlatSchedule window_schedule_ POPS_GUARDED_BY(mu_);  // filtered
   Network net_ POPS_GUARDED_BY(mu_);
-
-  // --- Last executed window (for the debug accessors) ---
-  std::vector<Demand> last_demands_ POPS_GUARDED_BY(mu_);
-  int last_h_ POPS_GUARDED_BY(mu_) = 0;
 
   // Armed after priming: every later execute_window runs inside a
   // ScopedAllocationBan (POPS_ALLOC_GUARD builds abort on any heap

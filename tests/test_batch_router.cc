@@ -180,7 +180,7 @@ POPS_TEST(FootprintStaysFlatAcrossSoak) {
     std::size_t total = 0;
     for (const FlatSchedule& schedule : results) {
       total += schedule.transmission_capacity();
-      total += schedule.offset_capacity();
+      total += schedule.slot_capacity();
     }
     return total;
   };

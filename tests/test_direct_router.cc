@@ -1,10 +1,7 @@
 // Direct (no-intermediate) routing and the portfolio, exercised
-// through the canonical engine API, plus shim-equivalence checks for
-// the deprecated route_direct / best_route free functions.
+// through the engine API.
 #include "perm/families.h"
-#include "routing/direct_router.h"
 #include "routing/engine.h"
-#include "routing/portfolio.h"
 #include "routing/verify.h"
 #include "support/prng.h"
 #include "tests/testing.h"
@@ -125,44 +122,6 @@ POPS_TEST(PortfolioFlipsToTheorem2OnAdversarialTraffic) {
       square_engine.route(group_transpose(4), {RouteStrategy::kBest});
   EXPECT_TRUE(square_engine.last_strategy() == RouteStrategy::kDirect);
   EXPECT_EQ(easy.slot_count(), 1);
-}
-
-// The deprecated one-shot wrappers are documented as shims over the
-// engine: their nested plans must match the engine's flat schedules
-// transmission for transmission.
-POPS_TEST(DeprecatedDirectAndPortfolioShimsMatchEngine) {
-  Rng rng(25);
-  const Topology topo(8, 4);
-  const Permutation pi = Permutation::random(32, rng);
-  RoutingEngine engine(topo);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const DirectPlan direct = route_direct(topo, pi);
-  const PortfolioPlan best = best_route(topo, pi);
-#pragma GCC diagnostic pop
-
-  const FlatSchedule& engine_direct =
-      engine.route(pi, {RouteStrategy::kDirect});
-  EXPECT_EQ(direct.max_demand, engine.direct_max_demand());
-  EXPECT_EQ(direct.slot_count(), engine_direct.slot_count());
-  for (int s = 0; s < engine_direct.slot_count(); ++s) {
-    const Span<const Transmission> flat = engine_direct.slot(s);
-    const std::vector<Transmission>& nested =
-        direct.slots[as_size(s)].transmissions;
-    EXPECT_EQ(nested.size(), flat.size());
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      EXPECT_EQ(nested[i].source, flat[i].source);
-      EXPECT_EQ(nested[i].destination, flat[i].destination);
-      EXPECT_EQ(nested[i].packet, flat[i].packet);
-    }
-  }
-
-  const FlatSchedule& engine_best =
-      engine.route(pi, {RouteStrategy::kBest});
-  EXPECT_TRUE(best.strategy == engine.last_strategy());
-  EXPECT_EQ(best.theorem2_slot_count, engine.theorem2_slot_count());
-  EXPECT_EQ(best.direct_slot_count, engine.direct_slot_count());
-  EXPECT_EQ(best.slot_count(), engine_best.slot_count());
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Tentpole coverage: the RoutingEngine must (a) produce schedules that
-// are slot-for-slot verified across the (d, g) grid for every
-// strategy, (b) agree with the legacy wrapper API, and (c) perform no
-// steady-state heap allocation — asserted by routing repeatedly after
-// a warm-up call and demanding that no engine-owned scratch arena ever
-// grows again.
+// The RoutingEngine must (a) produce schedules that are slot-for-slot
+// verified across the (d, g) grid for every strategy and for
+// h-relations, and (b) perform no steady-state heap allocation —
+// asserted by routing repeatedly after a warm-up call and demanding
+// that no engine-owned scratch arena ever grows again.
 #include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
-#include "routing/portfolio.h"
+#include "routing/h_relation.h"
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
 #include "support/prng.h"
@@ -41,34 +40,7 @@ POPS_TEST(EngineRoutesTheGridAtTheBound) {
   }
 }
 
-POPS_TEST(EngineMatchesTheWrapperApi) {
-  Rng rng(72);
-  const Topology topo(4, 3);
-  const Permutation pi = Permutation::random(12, rng);
-  RoutingEngine engine(topo);
-  const FlatSchedule& flat = engine.route_permutation(pi);
-  // The wrapper is deprecated; this test is exactly the shim contract
-  // the deprecation message promises, so the warning is suppressed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RoutePlan plan = route_permutation(topo, pi);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(plan.slot_count(), flat.slot_count());
-  EXPECT_EQ(plan.intermediate_of.size(),
-            engine.intermediate_of().size());
-  for (int s = 0; s < flat.slot_count(); ++s) {
-    const Span<const Transmission> slot = flat.slot(s);
-    EXPECT_EQ(plan.slots[as_size(s)].transmissions.size(), slot.size());
-    for (std::size_t i = 0; i < slot.size(); ++i) {
-      const Transmission& a = plan.slots[as_size(s)].transmissions[i];
-      EXPECT_EQ(a.source, slot[i].source);
-      EXPECT_EQ(a.destination, slot[i].destination);
-      EXPECT_EQ(a.packet, slot[i].packet);
-    }
-  }
-}
-
-POPS_TEST(EngineDirectAndBestAgreeWithWrappers) {
+POPS_TEST(EngineDirectAndBestVerify) {
   Rng rng(73);
   for (const auto& [d, g] : {std::pair{4, 4}, {8, 2}, {2, 8}}) {
     const Topology topo(d, g);
@@ -78,25 +50,21 @@ POPS_TEST(EngineDirectAndBestAgreeWithWrappers) {
          {Permutation::random(n, rng), vector_reversal(n),
           group_rotation(d, g, 1)}) {
       const FlatSchedule& direct = engine.route_direct(pi);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      const DirectPlan direct_plan = route_direct(topo, pi);
-#pragma GCC diagnostic pop
-      EXPECT_EQ(direct.slot_count(), direct_plan.slot_count());
-      EXPECT_EQ(engine.direct_max_demand(), direct_plan.max_demand);
+      EXPECT_EQ(direct.slot_count(), engine.direct_max_demand());
       EXPECT_TRUE(verify_schedule(topo, pi, direct).ok);
 
       const FlatSchedule& best = engine.route_best(pi);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      const PortfolioPlan best_plan = best_route(topo, pi);
-#pragma GCC diagnostic pop
-      EXPECT_EQ(best.slot_count(), best_plan.slot_count());
-      EXPECT_TRUE(engine.best_strategy() == best_plan.strategy);
-      EXPECT_EQ(engine.direct_slot_count(),
-                best_plan.direct_slot_count);
-      EXPECT_EQ(engine.theorem2_slot_count(),
-                best_plan.theorem2_slot_count);
+      // Direct wins ties.
+      const bool direct_wins =
+          engine.direct_slot_count() <= engine.theorem2_slot_count();
+      const RouteStrategy winner =
+          direct_wins ? RouteStrategy::kDirect : RouteStrategy::kTheorem2;
+      EXPECT_TRUE(engine.last_strategy() == winner);
+      EXPECT_EQ(best.slot_count(), direct_wins
+                                       ? engine.direct_slot_count()
+                                       : engine.theorem2_slot_count());
+      EXPECT_EQ(engine.direct_slot_count(), engine.direct_max_demand());
+      EXPECT_EQ(engine.theorem2_slot_count(), theorem2_slots(topo));
       EXPECT_TRUE(verify_schedule(topo, pi, best).ok);
     }
   }
@@ -143,25 +111,118 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
 
 POPS_TEST(EngineIntermediatesAreConsistent) {
   Rng rng(75);
-  const Topology topo(4, 3);
-  const Permutation pi = Permutation::random(12, rng);
-  RoutingEngine engine(topo);
-  const FlatSchedule& flat = engine.route_permutation(pi);
-  const Span<const int> mids = engine.intermediate_of();
-  EXPECT_EQ(mids.size(), std::size_t{12});
-  for (std::size_t s = 0; s < mids.size(); ++s) {
-    EXPECT_TRUE(mids[s] >= 0 && mids[s] < topo.processor_count());
-  }
-  // Within one batch (pair of slots), intermediates are distinct
-  // processors and match the distribute destinations.
-  for (int slot = 0; slot + 1 < flat.slot_count(); slot += 2) {
-    std::vector<bool> used(as_size(topo.processor_count()), false);
-    for (const Transmission& t : flat.slot(slot)) {
-      EXPECT_FALSE(used[as_size(t.destination)]);
-      used[as_size(t.destination)] = true;
-      EXPECT_EQ(mids[as_size(t.packet)], t.destination);
+  for (const auto& [d, g] : {std::pair{4, 3}, {1, 8}, {8, 8}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    const Permutation pi = Permutation::random(n, rng);
+    RoutingEngine engine(topo);
+    const FlatSchedule& flat = engine.route_permutation(pi);
+    const Span<const int> mids = engine.intermediate_of();
+    EXPECT_EQ(mids.size(), as_size(n));
+    for (const int mid : mids) EXPECT_TRUE(mid >= 0 && mid < n);
+    // In every distribute slot (the first of each batch pair), the
+    // receivers are distinct and are exactly the intermediates.
+    for (int slot = 0; slot + 1 < flat.slot_count(); slot += 2) {
+      std::vector<bool> used(as_size(n), false);
+      for (const Transmission& t : flat.slot(slot)) {
+        EXPECT_FALSE(used[as_size(t.destination)]);
+        used[as_size(t.destination)] = true;
+        EXPECT_EQ(mids[as_size(t.packet)], t.destination);
+      }
     }
   }
+}
+
+// The union of h random permutations: degree exactly h.
+std::vector<Request> permutation_union(int n, int h, Rng& rng) {
+  std::vector<Request> requests;
+  for (int k = 0; k < h; ++k) {
+    const Permutation pi = Permutation::random(n, rng);
+    for (int i = 0; i < n; ++i) requests.push_back(Request{i, pi(i)});
+  }
+  return requests;
+}
+
+POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
+  // route_h_relation arms no ban of its own: its arenas grow with the
+  // relation, not the topology. Once warmed on the largest relation of
+  // a shape (the most requests and the highest degree), every smaller
+  // one must route inside a live ban without growing a single arena,
+  // and every result must deliver on the strict simulator.
+  Rng rng(76);
+  for (const auto& [d, g] :
+       {std::pair{1, 8}, {4, 4}, {3, 5}, {8, 2}, {2, 8}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    constexpr int kMaxDegree = 8;
+    RoutingEngine engine(topo);
+    const std::vector<Request> largest =
+        permutation_union(n, kMaxDegree, rng);
+    engine.route_h_relation(largest);
+    const ScratchFootprint warm = engine.scratch_footprint();
+
+    std::vector<std::vector<Request>> relations;
+    for (int h = 1; h <= kMaxDegree; ++h) {
+      relations.push_back(permutation_union(n, h, rng));
+    }
+    // Self-requests only (the identity), then a hot sender whose
+    // packets include one to itself, then the empty relation.
+    std::vector<Request> selves;
+    for (int p = 0; p < n; ++p) selves.push_back(Request{p, p});
+    relations.push_back(selves);
+    std::vector<Request> hot;
+    for (int k = 0; k < kMaxDegree; ++k) {
+      hot.push_back(Request{0, (k * 3) % n});
+    }
+    relations.push_back(hot);
+    relations.emplace_back();
+    relations.push_back(largest);
+
+    for (const std::vector<Request>& requests : relations) {
+      {
+        ScopedAllocationBan ban("test: h-relation steady state");
+        engine.route_h_relation(requests);
+        EXPECT_EQ(engine.scratch_footprint(), warm);
+      }
+      EXPECT_EQ(engine.h_relation_schedule().slot_count(),
+                engine.phase_count() * theorem2_slots(topo));
+      EXPECT_EQ(verify_h_relation(topo, requests, h_relation_plan(engine)),
+                "");
+    }
+  }
+}
+
+POPS_TEST(HRelationPhasesPartitionTheRequests) {
+  // Every request lands in exactly one phase, each phase lists its
+  // requests in ascending order, and no phase sends or receives twice
+  // at one processor (a partial permutation).
+  Rng rng(77);
+  const Topology topo(4, 3);
+  const int n = topo.processor_count();
+  std::vector<Request> requests = permutation_union(n, 3, rng);
+  requests.push_back(Request{0, 0});
+  RoutingEngine engine(topo);
+  engine.route_h_relation(requests);
+  EXPECT_EQ(engine.phase_count(), 4);
+  std::vector<int> phase_of(requests.size(), -1);
+  for (int c = 0; c < engine.phase_count(); ++c) {
+    std::vector<bool> sends(as_size(n), false);
+    std::vector<bool> receives(as_size(n), false);
+    int previous = -1;
+    for (const int e : engine.phase_requests(c)) {
+      EXPECT_TRUE(e > previous);
+      previous = e;
+      EXPECT_EQ(phase_of[as_size(e)], -1);
+      phase_of[as_size(e)] = c;
+      const Request& request = requests[as_size(e)];
+      EXPECT_FALSE(sends[as_size(request.source)]);
+      EXPECT_FALSE(receives[as_size(request.destination)]);
+      sends[as_size(request.source)] = true;
+      receives[as_size(request.destination)] = true;
+    }
+  }
+  for (const int c : phase_of) EXPECT_TRUE(c >= 0);
+  EXPECT_ABORTS(engine.phase_requests(engine.phase_count()));
 }
 
 }  // namespace

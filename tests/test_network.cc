@@ -1,3 +1,5 @@
+#include <limits>
+
 #include "perm/families.h"
 #include "pops/network.h"
 #include "tests/testing.h"
@@ -33,6 +35,18 @@ POPS_TEST(CouplerRejectsOutOfRangeGroups) {
   // Processor ids are not group ids: passing a valid processor id that
   // exceeds the group count must abort too.
   EXPECT_ABORTS(topo.coupler(11, 0));
+}
+
+POPS_TEST(TopologyRejectsShapesThatOverflowInt) {
+  // n = d * g and the g^2 couplers are ints: a shape whose counts do
+  // not fit must abort, not construct with wrapped (zero) counts.
+  EXPECT_ABORTS(Topology(1 << 16, 1 << 16));
+  EXPECT_ABORTS(Topology(1 << 30, 4));
+  EXPECT_ABORTS(Topology(1, 46341));  // 46341^2 > INT_MAX
+  const Topology widest(1, 46340);
+  EXPECT_EQ(widest.coupler_count(), 46340 * 46340);
+  const Topology tallest(std::numeric_limits<int>::max(), 1);
+  EXPECT_EQ(tallest.processor_count(), std::numeric_limits<int>::max());
 }
 
 POPS_TEST(LoadPermutationTraffic) {

@@ -1,6 +1,6 @@
 // route(topo, pi, options) — the one-shot entry point of the routing
 // API — plus the Theorem 2 slot formula, every coloring backend on a
-// RoutingEngine, and the deprecated route_permutation shim.
+// RoutingEngine, and the paper's Figure 3 worked example.
 #include "perm/families.h"
 #include "routing/engine.h"
 #include "routing/router.h"
@@ -148,46 +148,36 @@ POPS_TEST(SingleSlotTopologyRoutesDirectly) {
   EXPECT_TRUE(verify_schedule(topo, pi, result.schedule).ok);
 }
 
-// The deprecated wrapper must keep producing exactly the schedule the
-// canonical entry point produces (it is documented as a shim, so
-// "equivalent" means transmission-for-transmission identical), plus
-// the legacy intermediate_of payload.
-POPS_TEST(DeprecatedRoutePermutationShimMatchesRoute) {
-  Rng rng(19);
-  for (const auto& [d, g] : {std::pair{4, 3}, {1, 8}, {8, 8}}) {
-    const Topology topo(d, g);
-    const int n = topo.processor_count();
-    const Permutation pi = Permutation::random(n, rng);
-    const RouteResult result = route(topo, pi, {RouteStrategy::kTheorem2});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const RoutePlan plan = route_permutation(topo, pi);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(plan.slot_count(), result.slot_count);
-    for (int s = 0; s < result.slot_count; ++s) {
-      const Span<const Transmission> flat = result.schedule.slot(s);
-      const std::vector<Transmission>& nested =
-          plan.slots[as_size(s)].transmissions;
-      EXPECT_EQ(nested.size(), flat.size());
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        EXPECT_EQ(nested[i].source, flat[i].source);
-        EXPECT_EQ(nested[i].destination, flat[i].destination);
-        EXPECT_EQ(nested[i].packet, flat[i].packet);
+// The paper's only worked example (Figure 3): POPS(3, 3) with
+// pi = [5 1 7 2 0 6 3 8 4]. Theorem 2 routes it in 2 slots through a
+// fair distribution: the packets of one source group use distinct
+// intermediate groups, and the packets one intermediate group relays
+// go to distinct destination groups.
+POPS_TEST(Figure3WorkedExample) {
+  const Topology topo(3, 3);
+  const Permutation pi({5, 1, 7, 2, 0, 6, 3, 8, 4});
+  RoutingEngine engine(topo);
+  const FlatSchedule& schedule =
+      engine.route(pi, {RouteStrategy::kTheorem2});
+  EXPECT_EQ(schedule.slot_count(), 2);
+  const VerificationResult vr = verify_schedule(topo, pi, schedule);
+  EXPECT_TRUE(vr.ok);
+  EXPECT_EQ(vr.failure, "");
+
+  const Span<const int> mids = engine.intermediate_of();
+  for (int group = 0; group < topo.g(); ++group) {
+    std::vector<bool> mid_groups(as_size(topo.g()), false);
+    std::vector<bool> destination_groups(as_size(topo.g()), false);
+    for (int p = 0; p < topo.processor_count(); ++p) {
+      const int mid_group = topo.group_of(mids[as_size(p)]);
+      if (topo.group_of(p) == group) {
+        EXPECT_FALSE(mid_groups[as_size(mid_group)]);
+        mid_groups[as_size(mid_group)] = true;
       }
-    }
-    // Legacy intermediates: one in-range intermediate per packet,
-    // consistent with the first slot of each batch pair.
-    EXPECT_EQ(plan.intermediate_of.size(), as_size(n));
-    for (int s = 0; s < n; ++s) {
-      const int mid = plan.intermediate_of[as_size(s)];
-      EXPECT_TRUE(mid >= 0 && mid < n);
-    }
-    for (std::size_t slot = 0; slot + 1 < plan.slots.size(); slot += 2) {
-      std::vector<bool> used(as_size(n), false);
-      for (const Transmission& t : plan.slots[slot].transmissions) {
-        EXPECT_FALSE(used[as_size(t.destination)]);
-        used[as_size(t.destination)] = true;
-        EXPECT_EQ(plan.intermediate_of[as_size(t.packet)], t.destination);
+      if (mid_group == group) {
+        const int destination_group = topo.group_of(pi(p));
+        EXPECT_FALSE(destination_groups[as_size(destination_group)]);
+        destination_groups[as_size(destination_group)] = true;
       }
     }
   }

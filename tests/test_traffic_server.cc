@@ -4,10 +4,12 @@
 // zero-steady-state-allocation soak contract.
 #include "serve/traffic_server.h"
 
+#include <limits>
 #include <vector>
 
 #include "pops/patterns.h"
 #include "routing/bounds.h"
+#include "routing/h_relation.h"
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
 #include "tests/testing.h"
@@ -32,6 +34,13 @@ POPS_TEST(EmptyFlushIsNoOp) {
   EXPECT_EQ(server.stats().windows_routed, 0);
   EXPECT_EQ(server.pending_demands(), 0);
   EXPECT_EQ(server.now(), std::uint64_t{0});
+  // The priming windows the constructor ran are not reported.
+  EXPECT_EQ(server.last_window_degree(), 0);
+  EXPECT_EQ(server.last_window_slots(), 0);
+  EXPECT_TRUE(server.last_window_requests().empty());
+  const HRelationPlan plan = server.last_window_plan();
+  EXPECT_EQ(plan.h, 0);
+  EXPECT_TRUE(plan.phases.empty());
 }
 
 POPS_TEST(SingleDemandWindow) {
@@ -124,6 +133,53 @@ POPS_TEST(LastWindowPassesVerifyHRelation) {
       EXPECT_EQ(plan.h, server.last_window_degree());
       EXPECT_EQ(plan.total_slots(), server.last_window_slots());
       EXPECT_EQ(verify_h_relation(topo, requests, plan), std::string());
+    }
+  }
+}
+
+// The server and the one-shot route_h_relation share one
+// decomposition: the server's last window must be exactly what
+// route_h_relation makes of the same requests with the same options.
+POPS_TEST(LastWindowPlanMatchesRouteHRelation) {
+  for (const ColoringAlgorithm algorithm : kAllColoringAlgorithms) {
+    for (const auto& [d, g] : {std::pair{4, 4}, {8, 2}, {1, 8}}) {
+      const Topology topo(d, g);
+      ServerConfig config;
+      config.max_window_degree = 4;
+      config.max_window_demands = 48;
+      config.router.coloring = algorithm;
+      TrafficServer server(topo, config);
+      ArrivalConfig arrivals;
+      arrivals.process = ArrivalProcess::kZipfHotGroup;
+      arrivals.seed = 41;
+      ArrivalGenerator generator(topo, arrivals);
+      while (server.stats().windows_routed < 4) {
+        server.submit(generator.next());
+      }
+      const std::vector<Request> requests = server.last_window_requests();
+      const HRelationPlan served = server.last_window_plan();
+      const HRelationPlan reference =
+          route_h_relation(topo, requests, config.router);
+      EXPECT_EQ(served.h, reference.h);
+      EXPECT_EQ(served.phases.size(), reference.phases.size());
+      if (served.phases.size() != reference.phases.size()) continue;
+      for (std::size_t c = 0; c < served.phases.size(); ++c) {
+        const HRelationPhase& a = served.phases[c];
+        const HRelationPhase& b = reference.phases[c];
+        EXPECT_TRUE(a.requests == b.requests);
+        EXPECT_EQ(a.slots.size(), b.slots.size());
+        if (a.slots.size() != b.slots.size()) continue;
+        for (std::size_t s = 0; s < a.slots.size(); ++s) {
+          const std::vector<Transmission>& x = a.slots[s].transmissions;
+          const std::vector<Transmission>& y = b.slots[s].transmissions;
+          EXPECT_EQ(x.size(), y.size());
+          for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
+            EXPECT_EQ(x[i].source, y[i].source);
+            EXPECT_EQ(x[i].destination, y[i].destination);
+            EXPECT_EQ(x[i].packet, y[i].packet);
+          }
+        }
+      }
     }
   }
 }
@@ -251,6 +307,27 @@ POPS_TEST(SoakKeepsScratchFootprintFlat) {
   EXPECT_EQ(server.stats().slots_executed, server.stats().budget_slots);
 }
 
+POPS_TEST(HugeQueueingDelayGetsAValidBucket) {
+  // One window with arrival ticks 0 and 2^63 + 5: it executes at the
+  // later tick, so the first demand waits more than 2^63 ticks, which
+  // lands in the histogram's top bucket.
+  const Topology topo(4, 4);
+  TrafficServer server(topo);
+  const std::uint64_t late = (std::uint64_t{1} << 63) + 5;
+  EXPECT_TRUE(server.submit(make_demand(0, 5, 0)));
+  EXPECT_TRUE(server.submit(make_demand(1, 6, late)));
+  server.flush();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.windows_routed, 1);
+  EXPECT_EQ(stats.queueing_delay.count, 2);
+  EXPECT_EQ(stats.queueing_delay.max, late);
+  EXPECT_EQ(stats.queueing_delay.percentile(0.5), std::uint64_t{0});
+  EXPECT_EQ(stats.queueing_delay.percentile(1.0),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(server.now(),
+            late + static_cast<std::uint64_t>(theorem2_slots(topo)));
+}
+
 POPS_TEST(DelayHistogramPercentiles) {
   DelayHistogram histogram;
   EXPECT_EQ(histogram.percentile(0.5), std::uint64_t{0});
@@ -262,6 +339,15 @@ POPS_TEST(DelayHistogramPercentiles) {
   EXPECT_EQ(histogram.percentile(0.50), std::uint64_t{0});
   EXPECT_EQ(histogram.percentile(0.95), std::uint64_t{7});
   EXPECT_EQ(histogram.percentile(1.0), std::uint64_t{127});
+  // The largest delay has a bucket too, [2^63, 2^64), whose upper
+  // bound is UINT64_MAX.
+  const std::uint64_t largest = std::numeric_limits<std::uint64_t>::max();
+  histogram.record(largest);
+  EXPECT_EQ(histogram.count, 101);
+  EXPECT_EQ(histogram.max, largest);
+  EXPECT_EQ(histogram.percentile(0.95), std::uint64_t{7});
+  EXPECT_EQ(histogram.percentile(0.99), std::uint64_t{127});
+  EXPECT_EQ(histogram.percentile(1.0), largest);
 }
 
 }  // namespace

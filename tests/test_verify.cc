@@ -1,8 +1,6 @@
-// Satellite: negative-path coverage for verify_schedule. A schedule
-// that oversubscribes a coupler and one that misdelivers a packet must
-// both fail verification with a useful failure string. Hand-built
-// schedules use the canonical FlatSchedule layout; one test pins the
-// deprecated nested overload to the same verdicts.
+// Negative-path coverage for verify_schedule. A schedule that
+// oversubscribes a coupler and one that misdelivers a packet must both
+// fail verification with a useful failure string.
 #include "perm/families.h"
 #include "routing/router.h"
 #include "routing/verify.h"
@@ -95,28 +93,6 @@ POPS_TEST(RejectsSizeMismatch) {
       Topology(2, 2), Permutation::identity(3), FlatSchedule{});
   EXPECT_FALSE(vr.ok);
   EXPECT_TRUE(vr.failure.find("does not fit") != std::string::npos);
-}
-
-POPS_TEST(DeprecatedNestedOverloadDelegates) {
-  // The nested vector<SlotPlan> overload must reach the same verdicts
-  // as the flat path: accept a correct schedule, reject an
-  // oversubscribed one with the same diagnostic.
-  const Topology topo(2, 2);
-  const Permutation pi = vector_reversal(4);
-  const std::vector<SlotPlan> good =
-      route(topo, pi, {RouteStrategy::kTheorem2})
-          .schedule.to_slot_plans();
-  SlotPlan oversubscribed;
-  oversubscribed.transmissions.push_back(Transmission{0, 3, 0});
-  oversubscribed.transmissions.push_back(Transmission{1, 2, 1});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_TRUE(verify_schedule(topo, pi, good).ok);
-  const VerificationResult vr =
-      verify_schedule(topo, pi, {oversubscribed});
-#pragma GCC diagnostic pop
-  EXPECT_FALSE(vr.ok);
-  EXPECT_TRUE(vr.failure.find("oversubscribed") != std::string::npos);
 }
 
 }  // namespace
