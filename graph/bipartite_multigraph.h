@@ -120,6 +120,15 @@ class POPS_THREAD_COMPATIBLE CsrAdjacency {
   void build_subset(Span<const int> edge_ids, Span<const Edge> edges,
                     int left_count, int right_count);
 
+  /// Pre-sizes the view for up to `vertex_count` vertices and
+  /// `edges` built edges: later builds within those bounds never
+  /// allocate.
+  void reserve(int vertex_count, int edges) {
+    offset_.reserve(as_size(vertex_count + 1));
+    incident_.reserve(2 * as_size(edges));
+    cursor_.reserve(as_size(vertex_count));
+  }
+
   int left_count() const { return left_count_; }
   int vertex_count() const { return vertex_count_; }
 

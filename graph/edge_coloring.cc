@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace pops {
+namespace {
+
+// The divide-and-conquer stack holds at most one pending range per
+// halving of the degree, so this covers every int degree.
+constexpr int kDncStackCapacity = 64;
+
+}  // namespace
 
 std::string to_string(ColoringAlgorithm algorithm) {
   switch (algorithm) {
@@ -213,7 +220,7 @@ void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
   const int m_pad = setup_regular(graph, delta);
   out.color.assign(as_size(graph.edge_count()), -1);
   out.num_colors = delta;
-  dc_stack_.reserve(64);
+  dc_stack_.reserve(kDncStackCapacity);
   dc_stack_.clear();
   dc_stack_.push_back(DncRange{0, m_pad, delta, 0});
   while (!dc_stack_.empty()) {
@@ -467,6 +474,32 @@ void EdgeColorer::split_into_empty_classes(int edge_count, int num_classes,
     --sizes[c];
     ++sizes[fill[c]];
   }
+}
+
+void EdgeColorer::reserve(int vertices, int edges, int max_degree) {
+  const std::size_t side = as_size(vertices);
+  // Both the alternating-path slot tables (vertex * delta) and the
+  // padded regular edge array (delta * max side) hold this many.
+  const std::size_t padded = side * as_size(max_degree);
+  left_slot_.reserve(padded);
+  right_slot_.reserve(padded);
+  path_.reserve(2 * side);
+  sizes_.reserve(side);
+  split_fill_.reserve(side);
+  slot_a_.reserve(2 * side);
+  slot_b_.reserve(2 * side);
+  walked_.reserve(as_size(edges));
+  spread_path_.reserve(as_size(edges));
+  dc_edges_.reserve(padded);
+  dc_work_.reserve(padded);
+  dc_aux_.reserve(padded);
+  dc_partner_.reserve(padded);
+  dc_pending_.reserve(side);
+  dc_deg_left_.reserve(side);
+  dc_deg_right_.reserve(side);
+  dc_stack_.reserve(kDncStackCapacity);
+  dc_adj_.reserve(2 * vertices, as_int(padded));
+  dc_matching_.reserve(vertices);
 }
 
 std::size_t EdgeColorer::scratch_capacity() const {

@@ -89,6 +89,13 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   void spread(const BipartiteMultigraph& graph, int num_classes,
               EdgeColoring& coloring);
 
+  /// Sizes every scratch table up front for graphs with at most
+  /// `vertices` vertices a side, `edges` edges and maximum degree
+  /// `max_degree`, colored by any backend, and for spreading them onto
+  /// at most `vertices` classes. Later calls within those bounds never
+  /// grow the colorer, whichever path their input takes through it.
+  void reserve(int vertices, int edges, int max_degree);
+
   /// Capacity snapshot for the zero-allocation tests.
   std::size_t scratch_capacity() const;
 

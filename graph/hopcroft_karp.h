@@ -41,6 +41,19 @@ class POPS_THREAD_COMPATIBLE MatchingKernel {
   /// `edges`) and returns its size. O(E * sqrt(V)).
   int match(const CsrAdjacency& adj, Span<const Edge> edges);
 
+  /// Pre-sizes the kernel for views with at most `vertices` vertices a
+  /// side: later matchings within that bound never allocate.
+  void reserve(int vertices) {
+    const std::size_t side = as_size(vertices);
+    match_left_.reserve(side);
+    match_right_.reserve(side);
+    dist_.reserve(side);
+    queue_.reserve(side);
+    stack_l_.reserve(side + 1);
+    stack_at_.reserve(side + 1);
+    stack_e_.reserve(side + 1);
+  }
+
   /// Edge id matched at each left vertex (-1 if unmatched), valid until
   /// the next match() call.
   Span<const int> left_edges() const {

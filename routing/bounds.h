@@ -41,8 +41,9 @@ int lower_bound_slots(const Topology& topo, const Permutation& pi);
 
 /// The h-relation budget of the König decomposition: h partial
 /// permutations, each routed at the Theorem 2 bound — so
-/// h * theorem2_slots(topo) slots (h when d == 1). The TrafficServer
-/// reports executed window slots against exactly this number.
+/// h * theorem2_slots(topo) slots (h when d == 1). Routing each phase
+/// on its own packets never takes more (RoutingEngine::route_h_relation);
+/// the TrafficServer reports executed window slots against this number.
 int h_relation_budget(const Topology& topo, int h);
 
 }  // namespace pops

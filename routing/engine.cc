@@ -1,6 +1,7 @@
 #include "routing/engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/alloc_guard.h"
 
@@ -24,13 +25,17 @@ RoutingEngine::RoutingEngine(const Topology& topo,
       h_(topo.g(), topo.g()),
       h_q_(topo.g(), topo.g()) {
   const int n = topo_.processor_count();
+  // A schedule holds up to two transmissions per packet, counted in
+  // ints.
+  POPS_CHECK(n <= std::numeric_limits<int>::max() / 2,
+             "RoutingEngine: POPS(d, g) needs 2 * d * g to fit an int");
   // Pre-size everything whose final size is known from (d, g) alone,
   // so even the first route call grows as little as possible and the
   // steady state cannot grow at all. A batch H_q takes at most g of
   // H's d colors, so it has at most g * min(d, g) edges.
   const int batch_edges = topo_.g() * std::min(topo_.d(), topo_.g());
-  intermediate_of_.reserve(as_size(n));
-  source_of_edge_.reserve(as_size(batch_edges));
+  intermediate_of_.assign(as_size(n), -1);
+  packet_of_edge_.reserve(as_size(batch_edges));
   fair_.color.reserve(as_size(batch_edges));
   used_of_group_.reserve(as_size(topo_.g()));
   theorem2_schedule_.reserve(2 * n, theorem2_slots(topo_));
@@ -83,7 +88,8 @@ const FlatSchedule& RoutingEngine::route_permutation(
     const Permutation& pi) {
   ScopedAllocationBan ban("RoutingEngine::route_permutation", warm_theorem2_);
   // The Permutation constructor already validated bijectivity.
-  build_theorem2(Span<const int>(pi.images()));
+  load_permutation(Span<const int>(pi.images()));
+  rebuild_theorem2();
   return theorem2_schedule_;
 }
 
@@ -102,159 +108,209 @@ const FlatSchedule& RoutingEngine::route_permutation(
                "route_permutation: image array is not a permutation");
     image_seen_stamp_[as_size(v)] = image_epoch_;
   }
-  build_theorem2(images);
+  load_permutation(images);
+  rebuild_theorem2();
   return theorem2_schedule_;
 }
 
-void RoutingEngine::build_theorem2(Span<const int> images) {
-  const auto pi = [&images](int i) { return images[as_size(i)]; };
-  POPS_CHECK(images.count() == topo_.processor_count(),
-             "route_permutation: permutation does not fit the topology");
+void RoutingEngine::load_permutation(Span<const int> images) {
+  const int n = topo_.processor_count();
+  POPS_CHECK(images.count() == n,
+             "route: permutation does not fit the topology");
+  packets_.resize(as_size(n));
+  Transmission* packet = packets_.data();
+  const int* image = images.data();
+  for (int source = 0; source < n; ++source) {
+    packet[source] = Transmission{source, image[source], source};
+  }
+}
+
+void RoutingEngine::rebuild_theorem2() {
+  theorem2_schedule_.clear();
+  build_theorem2(packets_, theorem2_schedule_);
+  POPS_CHECK(theorem2_schedule_.slot_count() == theorem2_slots(topo_),
+             "Theorem 2 schedule has the wrong number of slots");
+  warm_theorem2_ = true;
+}
+
+void RoutingEngine::rebuild_direct() {
+  direct_max_demand_ = measure(packets_).max_demand;
+  direct_schedule_.clear();
+  build_direct(packets_, direct_max_demand_, direct_schedule_);
+  warm_direct_ = true;
+}
+
+RoutingEngine::Load RoutingEngine::measure(
+    Span<const Transmission> packets) {
+  const int g = topo_.g();
+  coupler_count_.assign(as_size(topo_.coupler_count()), 0);
+  group_load_.assign(as_size(2 * g), 0);
+  int* count = coupler_count_.data();
+  int* sends = group_load_.data();
+  int* receives = sends + g;
+  int degree = 0;
+  int demand = 0;
+  for (const Transmission& packet : packets) {
+    const int from = topo_.group_of(packet.source);
+    const int to = topo_.group_of(packet.destination);
+    degree = std::max(degree, std::max(++sends[from], ++receives[to]));
+    demand = std::max(demand, ++count[topo_.coupler(to, from)]);
+  }
+  return Load{degree, demand};
+}
+
+void RoutingEngine::build_direct(Span<const Transmission> packets,
+                                 int max_demand, FlatSchedule& out) {
+  const int couplers = topo_.coupler_count();
+  const int count = packets.count();
+  const Transmission* packet = packets.data();
+
+  // Bucket the packets per coupler (CSR). Packets are enumerated in
+  // order, so each bucket lists its packets in packet-list order.
+  coupler_offset_.resize(as_size(couplers + 1));
+  coupler_queue_.resize(as_size(count));
+  int* offset = coupler_offset_.data();
+  int* cursor = coupler_count_.data();  // the counts become fill cursors
+  int* queue = coupler_queue_.data();
+  offset[0] = 0;
+  for (int c = 0; c < couplers; ++c) {
+    offset[c + 1] = offset[c] + cursor[c];
+    cursor[c] = offset[c];
+  }
+  for (int i = 0; i < count; ++i) {
+    const int coupler = topo_.coupler(topo_.group_of(packet[i].destination),
+                                      topo_.group_of(packet[i].source));
+    queue[cursor[coupler]++] = i;
+  }
+  // The cursors are spent: the same storage now lists the couplers that
+  // still hold packets, in coupler order.
+  int* active = cursor;
+  int active_count = 0;
+  for (int c = 0; c < couplers; ++c) {
+    if (offset[c + 1] > offset[c]) active[active_count++] = c;
+  }
+
+  // Slot t drains the t-th packet of every non-empty bucket, and a
+  // bucket leaves the list once drained. Distinct couplers per slot by
+  // construction; distinct transmitters and receivers because the
+  // packets' sources are pairwise distinct, and so are their
+  // destinations.
+  for (int slot = 0; slot < max_demand; ++slot) {
+    out.begin_slot();
+    int kept = 0;
+    for (int a = 0; a < active_count; ++a) {
+      const int c = active[a];
+      out.push(packet[queue[offset[c] + slot]]);
+      if (offset[c + 1] - offset[c] > slot + 1) active[kept++] = c;
+    }
+    active_count = kept;
+  }
+}
+
+void RoutingEngine::build_theorem2(Span<const Transmission> packets,
+                                   FlatSchedule& out) {
   const int d = topo_.d();
   const int g = topo_.g();
-  const int n = topo_.processor_count();
-  theorem2_schedule_.clear();
-  intermediate_of_.assign(as_size(n), -1);
+  const int count = packets.count();
+  const Transmission* packet = packets.data();
 
   if (d == 1) {
-    // One slot: processor == group, so sources and destinations of the
-    // n transmissions are pairwise distinct and every coupler carries
-    // at most one packet.
-    theorem2_schedule_.begin_slot();
-    for (int source = 0; source < n; ++source) {
-      theorem2_schedule_.push(Transmission{source, pi(source), source});
-      intermediate_of_[as_size(source)] = source;
+    // One slot: processor == group, so the packets' sources and
+    // destinations are pairwise distinct and every coupler carries at
+    // most one packet.
+    out.begin_slot();
+    for (int i = 0; i < count; ++i) {
+      out.push(packet[i]);
+      intermediate_of_[as_size(packet[i].source)] = packet[i].source;
     }
-    warm_theorem2_ = true;
     return;
   }
 
-  // H: one edge per packet, source group -> destination group. Edge id
-  // == source processor id because sources are added in order and each
-  // holds exactly one packet.
+  // H: one edge per packet, source group -> destination group, so the
+  // edge id is the packet's index in the list. All n packets make H
+  // d-regular, which suits the configured backend; fewer make it
+  // irregular, and alternating path colors it without padding.
   h_.reset(g, g);
-  for (int source = 0; source < n; ++source) {
-    h_.add_edge(topo_.group_of(source), topo_.group_of(pi(source)));
+  for (int i = 0; i < count; ++i) {
+    h_.add_edge(topo_.group_of(packet[i].source),
+                topo_.group_of(packet[i].destination));
   }
-  colorer_.color(h_, options_.coloring, coloring_);
-  POPS_CHECK(coloring_.num_colors == d,
-             "Theorem 2: H must be d-edge-colorable");
+  colorer_.color(h_,
+                 count == topo_.processor_count()
+                     ? options_.coloring
+                     : ColoringAlgorithm::kAlternatingPath,
+                 coloring_);
+  const int delta = coloring_.num_colors;
+  POPS_CHECK(delta <= d, "Theorem 2: H must be d-edge-colorable");
+  const int* color = coloring_.color.data();
 
-  const int batches = (d + g - 1) / g;
+  const int batches = (delta + g - 1) / g;
   for (int q = 0; q < batches; ++q) {
     const int color_lo = q * g;
-    const int color_hi = std::min((q + 1) * g, d);
+    const int color_hi = std::min((q + 1) * g, delta);
 
     // H_q: the packets whose H-color falls in this batch. Every group
-    // has exactly one edge per color, so H_q is (color_hi - color_lo)-
-    // regular with degree <= g, and H's coloring restricted to the
+    // has at most one edge per color, so H's coloring restricted to the
     // batch and shifted down by color_lo is already a proper coloring
-    // of H_q with that many colors, each class a perfect matching.
+    // of H_q with at most g colors.
     h_q_.reset(g, g);
-    source_of_edge_.clear();
+    packet_of_edge_.clear();
     fair_.color.clear();
     fair_.num_colors = color_hi - color_lo;
-    for (int source = 0; source < n; ++source) {
-      const int c = coloring_.color[as_size(source)];
+    for (int i = 0; i < count; ++i) {
+      const int c = color[i];
       if (c < color_lo || c >= color_hi) continue;
-      h_q_.add_edge(topo_.group_of(source), topo_.group_of(pi(source)));
-      source_of_edge_.push_back(source);
+      h_q_.add_edge(topo_.group_of(packet[i].source),
+                    topo_.group_of(packet[i].destination));
+      packet_of_edge_.push_back(i);
       fair_.color.push_back(c - color_lo);
     }
 
     // Fair distribution: that coloring balanced onto g classes.
-    // Properness gives the two distinctness properties; the balanced
-    // size (exactly Delta_q <= d per class) is the receiver capacity
+    // Properness gives the two distinctness properties. Each color is
+    // a matching of at most g edges, so a balanced class holds at most
+    // color_hi - color_lo <= Delta <= d edges: the receiver capacity
     // of an intermediate group.
     colorer_.spread(h_q_, g, fair_);
 
     used_of_group_.assign(as_size(g), 0);
-    theorem2_schedule_.begin_slot();  // distribute: slot 2q
-    for (int e = 0; e < h_q_.edge_count(); ++e) {
-      const int source = source_of_edge_[as_size(e)];
-      const int mid_group = fair_.color[as_size(e)];
-      const int mid_index = used_of_group_[as_size(mid_group)]++;
+    const int edges = h_q_.edge_count();
+    const int* packet_of_edge = packet_of_edge_.data();
+    const int* mid_group = fair_.color.data();
+    int* used = used_of_group_.data();
+    int* intermediate = intermediate_of_.data();
+    out.begin_slot();  // distribute: slot 2q
+    for (int e = 0; e < edges; ++e) {
+      const Transmission& p = packet[packet_of_edge[e]];
+      const int mid_index = used[mid_group[e]]++;
       POPS_CHECK(mid_index < d,
                  "fair distribution overfilled an intermediate group");
-      const int mid = topo_.processor(mid_group, mid_index);
-      intermediate_of_[as_size(source)] = mid;
-      theorem2_schedule_.push(Transmission{source, mid, source});
+      const int mid = topo_.processor(mid_group[e], mid_index);
+      intermediate[p.source] = mid;
+      out.push(Transmission{p.source, mid, p.packet});
     }
-    theorem2_schedule_.begin_slot();  // deliver: slot 2q + 1
-    for (int e = 0; e < h_q_.edge_count(); ++e) {
-      const int source = source_of_edge_[as_size(e)];
-      theorem2_schedule_.push(Transmission{
-          intermediate_of_[as_size(source)], pi(source), source});
+    out.begin_slot();  // deliver: slot 2q + 1
+    for (int e = 0; e < edges; ++e) {
+      const Transmission& p = packet[packet_of_edge[e]];
+      out.push(Transmission{intermediate[p.source], p.destination, p.packet});
     }
   }
-
-  POPS_CHECK(theorem2_schedule_.slot_count() == theorem2_slots(topo_),
-             "Theorem 2 schedule has the wrong number of slots");
-  warm_theorem2_ = true;
 }
 
 const FlatSchedule& RoutingEngine::route_direct(const Permutation& pi) {
   // The direct builder never colors, so it is eligible regardless of
   // the configured coloring backend.
   ScopedAllocationBan ban("RoutingEngine::route_direct", warm_direct_);
-  build_direct(pi);
+  load_permutation(Span<const int>(pi.images()));
+  rebuild_direct();
   return direct_schedule_;
-}
-
-void RoutingEngine::build_direct(const Permutation& pi) {
-  POPS_CHECK(pi.size() == topo_.processor_count(),
-             "route_direct: permutation does not fit the topology");
-  const int n = topo_.processor_count();
-  const int couplers = topo_.coupler_count();
-
-  // Bucket the packets per coupler (CSR). Sources are enumerated in
-  // order, so each bucket lists its packets by source id.
-  coupler_count_.assign(as_size(couplers), 0);
-  direct_max_demand_ = 0;
-  for (int source = 0; source < n; ++source) {
-    const int coupler = topo_.coupler(topo_.group_of(pi(source)),
-                                      topo_.group_of(source));
-    direct_max_demand_ =
-        std::max(direct_max_demand_, ++coupler_count_[as_size(coupler)]);
-  }
-  coupler_offset_.assign(as_size(couplers + 1), 0);
-  for (int c = 0; c < couplers; ++c) {
-    coupler_offset_[as_size(c + 1)] =
-        coupler_offset_[as_size(c)] + coupler_count_[as_size(c)];
-  }
-  coupler_queue_.resize(as_size(n));
-  // Reuse coupler_count_ as the per-coupler fill cursor.
-  for (int c = 0; c < couplers; ++c) {
-    coupler_count_[as_size(c)] = coupler_offset_[as_size(c)];
-  }
-  for (int source = 0; source < n; ++source) {
-    const int coupler = topo_.coupler(topo_.group_of(pi(source)),
-                                      topo_.group_of(source));
-    coupler_queue_[as_size(coupler_count_[as_size(coupler)]++)] = source;
-  }
-
-  // Slot t drains the t-th packet of every non-empty bucket. Distinct
-  // couplers per slot by construction; distinct transmitters and
-  // receivers because pi is a permutation and each source appears in
-  // exactly one bucket position.
-  direct_schedule_.clear();
-  for (int slot = 0; slot < direct_max_demand_; ++slot) {
-    direct_schedule_.begin_slot();
-    for (int c = 0; c < couplers; ++c) {
-      const int begin = coupler_offset_[as_size(c)];
-      const int end = coupler_offset_[as_size(c + 1)];
-      if (end - begin <= slot) continue;
-      const int source = coupler_queue_[as_size(begin + slot)];
-      direct_schedule_.push(Transmission{source, pi(source), source});
-    }
-  }
-  warm_direct_ = true;
 }
 
 const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
   ScopedAllocationBan ban("RoutingEngine::route_best",
                           warm_direct_ && warm_theorem2_ && warm_verify_);
-  build_direct(pi);
+  load_permutation(Span<const int>(pi.images()));
+  rebuild_direct();
   if (!delivers(direct_schedule_, pi)) {
     // Cold failure path: composing the diagnostic allocates, and the
     // abort must name the broken schedule, not trip the guard.
@@ -263,7 +319,7 @@ const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
                str_cat("best_route: direct candidate failed verification: ",
                        verification_failure()));
   }
-  build_theorem2(Span<const int>(pi.images()));
+  rebuild_theorem2();
   if (!delivers(theorem2_schedule_, pi)) {
     ScopedAllocationAllow allow;
     POPS_CHECK(
@@ -284,8 +340,28 @@ const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
 
 const FlatSchedule& RoutingEngine::route_h_relation(
     Span<const Request> requests) {
+  // The schedule holds at most two transmissions per request, counted
+  // in ints.
+  POPS_CHECK(requests.size() <=
+                 as_size(std::numeric_limits<int>::max() / 2),
+             "route_h_relation: more than INT_MAX / 2 requests");
   const int n = topo_.processor_count();
+  const int d = topo_.d();
+  const int g = topo_.g();
   const int count = requests.count();
+  if (!phase_arenas_sized_) {
+    // A phase builds H (g vertices a side, at most n edges, degree at
+    // most d) and its batches, colors H with the configured backend or
+    // with alternating path by its size, and spreads each batch onto g
+    // classes. Sizing all of that from (d, g) up front keeps the
+    // schedule a phase takes from deciding whether a later relation
+    // allocates.
+    h_.reserve_edges(n);
+    h_q_.reserve_edges(g * std::min(d, g));
+    coloring_.color.reserve(as_size(n));
+    colorer_.reserve(g, n, d);
+    phase_arenas_sized_ = true;
+  }
 
   // The traffic multigraph: one edge per request, processor to
   // processor, so the edge id is the request id.
@@ -306,7 +382,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   const int h = traffic_coloring_.num_colors;
 
   // Bucket the requests by phase with a stable counting sort, so every
-  // phase lists its requests in ascending order. Counting into
+  // phase lists its packets in ascending request id. Counting into
   // offsets[c + 2] and prefix-summing leaves phase c's start in
   // offsets[c + 1], which then serves as its fill cursor; once filled,
   // offsets[c] is the start of phase c and the spare last entry goes.
@@ -317,61 +393,47 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   for (int c = 0; c < h; ++c) {
     phase_offsets_[as_size(c + 2)] += phase_offsets_[as_size(c + 1)];
   }
-  phase_requests_.assign(as_size(count), 0);
+  phase_packets_.resize(as_size(count));
   for (int e = 0; e < count; ++e) {
     const int c = traffic_coloring_.color[as_size(e)];
-    phase_requests_[as_size(phase_offsets_[as_size(c + 1)]++)] = e;
+    const Request& request = requests[as_size(e)];
+    phase_packets_[as_size(phase_offsets_[as_size(c + 1)]++)] =
+        Transmission{request.source, request.destination, e};
   }
   phase_offsets_.pop_back();
 
-  // At most two transmissions per request (distribute and deliver).
+  // A phase takes at most theorem2_slots slots, and a phase of k
+  // packets at most k (its direct schedule does, and Theorem 2 runs
+  // only when shorter). The bound grows with both h and count, so a
+  // relation no larger in either does not grow the schedule.
+  const long long max_slots = std::min<long long>(
+      static_cast<long long>(h) * theorem2_slots(topo_), count);
   h_schedule_.clear();
-  h_schedule_.reserve(2 * count, h * theorem2_slots(topo_));
+  h_schedule_.reserve(2 * count, static_cast<int>(max_slots));
+  phase_slot_offsets_.assign(1, 0);
   for (int c = 0; c < h; ++c) {
-    // By properness the phase is a partial permutation. Pad it to a
-    // full one (idle sources onto unused destinations, in order) so
-    // Theorem 2 applies as-is; the result is a permutation by
-    // construction, so build_theorem2 runs without a bijectivity pass.
-    image_.assign(as_size(n), -1);
-    request_of_source_.assign(as_size(n), -1);
-    destination_used_.assign(as_size(n), 0);
-    for (const int e : phase_requests(c)) {
-      const Request& request = requests[as_size(e)];
-      image_[as_size(request.source)] = request.destination;
-      request_of_source_[as_size(request.source)] = e;
-      destination_used_[as_size(request.destination)] = 1;
+    // By properness the phase is a partial permutation, so both
+    // builders take its packets as they are. Only the shorter schedule
+    // is built; ties go to direct, as in route_best.
+    const Span<const Transmission> packets = phase_packets(c);
+    const Load load = measure(packets);
+    if (load.max_demand <= 2 * ((load.group_degree + g - 1) / g)) {
+      build_direct(packets, load.max_demand, h_schedule_);
+    } else {
+      build_theorem2(packets, h_schedule_);
     }
-    int next_free = 0;
-    for (int p = 0; p < n; ++p) {
-      if (image_[as_size(p)] != -1) continue;
-      while (destination_used_[as_size(next_free)] != 0) ++next_free;
-      image_[as_size(p)] = next_free;
-      destination_used_[as_size(next_free)] = 1;
-    }
-    build_theorem2(image_);
-
-    // Dropping the padding transmissions only relaxes the optical
-    // constraints, so the filtered schedule stays valid. Each kept
-    // transmission is renamed from the engine's packet id (the phase
-    // source) to its request id.
-    for (int s = 0; s < theorem2_schedule_.slot_count(); ++s) {
-      h_schedule_.begin_slot();
-      for (const Transmission& t : theorem2_schedule_.slot(s)) {
-        const int e = request_of_source_[as_size(t.packet)];
-        if (e == -1) continue;
-        h_schedule_.push(Transmission{t.source, t.destination, e});
-      }
-    }
+    phase_slot_offsets_.push_back(h_schedule_.slot_count());
   }
   return h_schedule_;
 }
 
-Span<const int> RoutingEngine::phase_requests(int phase) const {
+Span<const Transmission> RoutingEngine::phase_packets(int phase) const {
   POPS_CHECK(phase >= 0 && phase < phase_count(),
-             "phase_requests: phase out of range");
+             "phase_packets: phase out of range");
   const int lo = phase_offsets_[as_size(phase)];
   const int hi = phase_offsets_[as_size(phase + 1)];
-  return Span<const int>(phase_requests_.data() + lo, as_size(hi - lo));
+  return Span<const Transmission>(phase_packets_.data() + lo,
+                                  as_size(hi - lo));
 }
 
 bool RoutingEngine::delivers(const FlatSchedule& schedule,
@@ -401,21 +463,21 @@ std::string RoutingEngine::verification_failure() const {
 ScratchFootprint RoutingEngine::scratch_footprint() const {
   ScratchFootprint footprint;
   footprint.units =
-      h_.scratch_capacity() + h_q_.scratch_capacity() +
-      colorer_.scratch_capacity() + coloring_.color.capacity() +
-      fair_.color.capacity() + source_of_edge_.capacity() +
-      used_of_group_.capacity() + intermediate_of_.capacity() +
+      packets_.capacity() + group_load_.capacity() + h_.scratch_capacity() +
+      h_q_.scratch_capacity() + colorer_.scratch_capacity() +
+      coloring_.color.capacity() + fair_.color.capacity() +
+      packet_of_edge_.capacity() + used_of_group_.capacity() +
+      intermediate_of_.capacity() +
       theorem2_schedule_.transmission_capacity() +
-      theorem2_schedule_.slot_capacity() +
-      coupler_count_.capacity() + coupler_offset_.capacity() +
-      coupler_queue_.capacity() + image_seen_stamp_.capacity() +
+      theorem2_schedule_.slot_capacity() + coupler_count_.capacity() +
+      coupler_offset_.capacity() + coupler_queue_.capacity() +
+      image_seen_stamp_.capacity() +
       direct_schedule_.transmission_capacity() +
       direct_schedule_.slot_capacity() +
       (net_.has_value() ? net_->scratch_capacity() : 0) +
       traffic_.scratch_capacity() + traffic_coloring_.color.capacity() +
-      phase_offsets_.capacity() + phase_requests_.capacity() +
-      image_.capacity() + request_of_source_.capacity() +
-      destination_used_.capacity() + h_schedule_.transmission_capacity() +
+      phase_offsets_.capacity() + phase_packets_.capacity() +
+      phase_slot_offsets_.capacity() + h_schedule_.transmission_capacity() +
       h_schedule_.slot_capacity();
   return footprint;
 }

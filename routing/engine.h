@@ -14,33 +14,38 @@
 // route_h_relation, which TrafficServer calls once per window and the
 // free route_h_relation (routing/h_relation.h) wraps.
 //
-// Mei & Rizzi's Theorem 2 construction is oblivious and shape-static
-// for fixed (d, g): H is always d-regular on g + g vertices with
-// exactly n = d * g edges, every batch multigraph H_q has exactly
-// g * batch_width edges, and the schedule always has
-// theorem2_slots(topo) slots of n total transmissions per slot pair.
-// The engine therefore owns every intermediate object — the packet
-// multigraphs, the edge colorings, the fair-distribution scratch, the
-// coupler queues of the direct router, the verification Network of the
-// portfolio, and the emitted FlatSchedules — and rebuilds them in
-// place per permutation. Routing performs no heap allocation at all
-// after one warm-up call per strategy (asserted by tests that compare
-// scratch_footprint() across calls) with every coloring backend: the
-// alternating-path backend runs on flat slot tables, and the
-// divide-and-conquer backends run iteratively over index ranges of
-// one padded edge array inside EdgeColorer, so none of them builds
-// transient subgraphs.
+// There is one Theorem 2 builder and one direct builder. Both take a
+// packet list, one Transmission (source, destination, packet id) per
+// packet: all n packets named by source for a permutation, or one
+// phase's requests named by request id for an h-relation.
 //
-// H is colored once per route, by default with euler-split: H arrives
-// d-regular and sorted by source group, so the backend neither pads
-// nor sorts it, and for power-of-two d it only runs position-paired
-// Euler splits (graph/edge_coloring.h).
+// Mei & Rizzi's Theorem 2 needs only a proper, balanced coloring of
+// the group multigraph H (one edge per packet, source group to
+// destination group). Take a partial permutation whose busiest group
+// sends or receives Delta packets and color H with Delta colors; each
+// batch of g colors, spread onto g classes, puts at most Delta <= d
+// packets on each intermediate group and takes two slots. So the
+// schedule has 2 * ceil(Delta / g) slots (one when d == 1), which is
+// theorem2_slots(topology()) for a permutation. A permutation's H is
+// d-regular and sorted by source group, which suits the configured
+// backend (by default euler-split, graph/edge_coloring.h); a smaller
+// packet list makes H irregular, and alternating path colors it.
 //
-// An h-relation has no fixed shape: its arrays grow with the request
-// count and the degree h. They stay empty until the first
-// route_h_relation call, then keep the capacity of the largest
-// relation routed so far, so a later relation no larger than that one
-// in both respects allocates nothing.
+// The engine owns every intermediate object — the packet list, the
+// packet multigraphs, the edge colorings, the fair-distribution
+// scratch, the coupler queues of the direct router, the verification
+// Network of the portfolio, and the emitted FlatSchedules — and
+// rebuilds them in place per route. Routing a permutation performs no
+// heap allocation after one warm-up call per strategy (asserted by
+// tests that compare scratch_footprint() across calls) with every
+// coloring backend.
+//
+// An h-relation has no fixed shape: the traffic multigraph, the phase
+// arrays and the window schedule grow with the request count and the
+// degree h. They stay empty until the first route_h_relation call,
+// which also sizes every arena a phase can touch from (d, g) alone, so
+// a later relation with no more requests and no higher degree
+// allocates nothing, whichever construction its phases take.
 #pragma once
 
 #include <iosfwd>
@@ -116,8 +121,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const FlatSchedule& route_permutation(Span<const int> images);
 
   /// Intermediate processor of each source's packet in the last
-  /// route_permutation schedule (the source itself when the packet was
-  /// routed directly, as in the d == 1 case).
+  /// Theorem 2 schedule of a permutation (the source itself when the
+  /// packet was routed directly, as in the d == 1 case).
   Span<const int> intermediate_of() const { return intermediate_of_; }
 
   /// Greedy direct (no-intermediate) schedule: every packet crosses in
@@ -149,38 +154,64 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   }
 
   /// Routes an h-relation: every processor sends and receives at most
-  /// h of the requests. The traffic multigraph (one edge per request)
-  /// has maximum degree h, so König colors it with h colors; each
-  /// color class is a partial permutation, one phase. Each phase is
-  /// padded to a full permutation (idle sources onto unused
-  /// destinations, in order) and routed by Theorem 2. The returned
-  /// schedule keeps only the real packets, named by request id:
-  /// h * theorem2_slots(topology()) slots, phase c in slots
-  /// [c * theorem2_slots, (c + 1) * theorem2_slots).
+  /// h of the requests. König colors the traffic multigraph (one edge
+  /// per request) with h colors; each color class is a partial
+  /// permutation, one phase, routed on its own packets named by request
+  /// id. One pass over a phase finds M, the most of its packets on one
+  /// coupler, and Delta, the most one group sends or receives; the
+  /// phase then gets only the shorter schedule, direct (M slots, which
+  /// wins ties as in route_best) or Theorem 2 (2 * ceil(Delta / g)).
+  /// Phase c occupies slots [phase_slot_offsets()[c],
+  /// phase_slot_offsets()[c + 1]), at most theorem2_slots(topology()).
   ///
-  /// Allocation-free once the engine has routed a relation with at
-  /// least as many requests and at least the same degree (see the
-  /// header comment). No ScopedAllocationBan is armed here, because
-  /// the bound depends on the relation rather than on the topology;
-  /// callers that know their largest relation arm one (the
-  /// TrafficServer's window ban). The returned reference, phase_count()
-  /// and phase_requests() stay valid until the next route_h_relation
-  /// call; the permutation routes do not touch them.
+  /// Aborts on a request outside the topology and on more than
+  /// INT_MAX / 2 requests. Allocation-free once the engine has routed
+  /// a relation with at least as many requests and at least the same
+  /// degree (see the header comment); no ScopedAllocationBan is armed
+  /// here, because that bound depends on the relation, so callers that
+  /// know their largest relation arm one (the TrafficServer's window
+  /// ban). The returned reference and the phase accessors stay valid
+  /// until the next route_h_relation call; the permutation routes do
+  /// not touch them.
   const FlatSchedule& route_h_relation(Span<const Request> requests);
   /// The schedule of the last route_h_relation (empty before the
   /// first).
   const FlatSchedule& h_relation_schedule() const { return h_schedule_; }
   /// Phases of the last route_h_relation: its degree h.
   int phase_count() const { return traffic_coloring_.num_colors; }
-  /// Request ids of phase `phase` of the last route_h_relation, in
-  /// ascending order.
-  Span<const int> phase_requests(int phase) const;
+  /// Packets of phase `phase` of the last route_h_relation, in
+  /// ascending request id: each names its request's source and
+  /// destination, and its packet id is the request id.
+  Span<const Transmission> phase_packets(int phase) const;
+  /// h + 1 slot offsets into h_relation_schedule(): phase c occupies
+  /// slots [offsets[c], offsets[c + 1]). Empty before the first
+  /// route_h_relation.
+  Span<const int> phase_slot_offsets() const { return phase_slot_offsets_; }
 
   ScratchFootprint scratch_footprint() const;
 
  private:
-  void build_theorem2(Span<const int> images);
-  void build_direct(const Permutation& pi);
+  /// One pass over a packet list: the most packets one group sends or
+  /// receives (the degree of H) and the most packets on one coupler
+  /// (the direct schedule's length). It leaves the per-coupler counts
+  /// in coupler_count_ for build_direct.
+  struct Load {
+    int group_degree;
+    int max_demand;
+  };
+  Load measure(Span<const Transmission> packets);
+  /// The two builders append a schedule for `packets`, which must have
+  /// pairwise distinct sources and pairwise distinct destinations, to
+  /// `out`. build_direct reads the counts measure(packets) left.
+  void build_direct(Span<const Transmission> packets, int max_demand,
+                    FlatSchedule& out);
+  void build_theorem2(Span<const Transmission> packets, FlatSchedule& out);
+  /// The permutation routes: packets_ holds all n packets, named by
+  /// source, and the rebuilds route it into direct_schedule_ or
+  /// theorem2_schedule_.
+  void load_permutation(Span<const int> images);
+  void rebuild_direct();
+  void rebuild_theorem2();
   /// Executes `schedule` on the internal simulator under permutation
   /// traffic pi; true iff every packet was delivered. Allocation-free
   /// once the simulator is warm.
@@ -202,16 +233,21 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   bool warm_theorem2_ = false;
   bool warm_direct_ = false;
   bool warm_verify_ = false;
+  bool phase_arenas_sized_ = false;
+
+  // --- Shared by both builders ---
+  std::vector<Transmission> packets_;  // the permutation's packet list
+  std::vector<int> group_load_;        // sends per group, then receives
 
   // --- Theorem 2 scratch ---
   BipartiteMultigraph h_;    // the packet multigraph H (g x g)
   BipartiteMultigraph h_q_;  // one batch H_q (g x g)
   EdgeColorer colorer_;
-  EdgeColoring coloring_;  // d-coloring of H
+  EdgeColoring coloring_;  // Delta-coloring of H, by packet index
   EdgeColoring fair_;      // fair distribution of one batch
-  std::vector<int> source_of_edge_;  // H_q edge id -> source processor
+  std::vector<int> packet_of_edge_;  // H_q edge id -> packet index
   std::vector<int> used_of_group_;   // intermediates taken per group
-  std::vector<int> intermediate_of_;
+  std::vector<int> intermediate_of_;  // by source processor
   FlatSchedule theorem2_schedule_;
   // Bijectivity check of the Span overload: seen[v] is valid only when
   // stamped with the current validation epoch, so no clearing pass.
@@ -221,7 +257,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   // --- Direct-router scratch (CSR coupler queues) ---
   std::vector<int> coupler_count_;   // packets per coupler
   std::vector<int> coupler_offset_;  // prefix sums, coupler_count()+1
-  std::vector<int> coupler_queue_;   // sources bucketed by coupler
+  std::vector<int> coupler_queue_;   // packet indices by coupler
   int direct_max_demand_ = 0;
   FlatSchedule direct_schedule_;
 
@@ -233,18 +269,17 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 
   // --- h-relation scratch (empty until the first route_h_relation) ---
-  // Window traffic is colored by colorer_ too: its alternating-path
-  // tables and the euler-split/spread arrays H uses are disjoint.
+  // Window traffic is colored by colorer_ too, before any phase is
+  // routed: the colorer's tables are scratch, and the coloring itself
+  // lands in traffic_coloring_.
   BipartiteMultigraph traffic_{0, 0};  // n x n, edge id == request id
   EdgeColoring traffic_coloring_;      // h colors, one per phase
-  // Requests bucketed by phase (CSR): phase c holds
-  // phase_requests_[phase_offsets_[c] .. phase_offsets_[c + 1]).
+  // Packets bucketed by phase (CSR): phase c holds
+  // phase_packets_[phase_offsets_[c] .. phase_offsets_[c + 1]).
   std::vector<int> phase_offsets_;
-  std::vector<int> phase_requests_;
-  std::vector<int> image_;              // the padded phase permutation
-  std::vector<int> request_of_source_;  // -1 for a padding source
-  std::vector<char> destination_used_;
-  FlatSchedule h_schedule_;  // real packets only, by request id
+  std::vector<Transmission> phase_packets_;
+  std::vector<int> phase_slot_offsets_;  // h + 1 entries
+  FlatSchedule h_schedule_;  // packets named by request id
 };
 
 }  // namespace pops

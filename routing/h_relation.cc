@@ -16,16 +16,17 @@ int HRelationPlan::total_slots() const {
 
 HRelationPlan h_relation_plan(const RoutingEngine& engine) {
   const FlatSchedule& schedule = engine.h_relation_schedule();
-  const int slots_per_phase = theorem2_slots(engine.topology());
+  const Span<const int> slot_offsets = engine.phase_slot_offsets();
   HRelationPlan plan;
   plan.h = engine.phase_count();
-  POPS_CHECK(schedule.slot_count() == plan.h * slots_per_phase,
-             "h_relation_plan: schedule does not cover the phases");
   for (int c = 0; c < plan.h; ++c) {
     HRelationPhase phase;
-    const Span<const int> requests = engine.phase_requests(c);
-    phase.requests.assign(requests.begin(), requests.end());
-    for (int s = c * slots_per_phase; s < (c + 1) * slots_per_phase; ++s) {
+    for (const Transmission& packet : engine.phase_packets(c)) {
+      phase.requests.push_back(packet.packet);
+    }
+    const int first = slot_offsets[as_size(c)];
+    const int end = slot_offsets[as_size(c + 1)];
+    for (int s = first; s < end; ++s) {
       const Span<const Transmission> slot = schedule.slot(s);
       phase.slots.emplace_back();
       phase.slots.back().transmissions.assign(slot.begin(), slot.end());

@@ -4,9 +4,10 @@
 // An h-relation is a set of point-to-point requests in which every
 // processor sends at most h packets and receives at most h packets.
 // RoutingEngine::route_h_relation routes one: König edge coloring
-// splits the traffic into h partial permutations, and each one, padded
-// to a full permutation, takes theorem2_slots(topo) slots, so the
-// schedule has h * 2 * ceil(d / g) slots (h slots when d = 1).
+// splits the traffic into h partial permutations, and each one is
+// routed on its own packets in min(M, 2 * ceil(Delta / g)) slots (see
+// HRelationPhase), never more than theorem2_slots(topo). So the
+// schedule has at most h * 2 * ceil(d / g) slots (h slots when d = 1).
 //
 // This header holds the nested view of that result: HRelationPlan
 // lists every phase's requests and slots, which is what tests,
@@ -23,14 +24,16 @@ namespace pops {
 
 class RoutingEngine;
 
-/// One color class of the decomposition: a partial permutation routed
-/// at the Theorem 2 bound.
+/// One color class of the decomposition: a partial permutation,
+/// routed on its own packets.
 struct HRelationPhase {
   /// Indices (into the request vector) of the requests this phase
   /// delivers, in ascending order.
   std::vector<int> requests;
-  /// Exactly theorem2_slots(topo) slots, restricted to the phase's
-  /// real packets (padding transmissions are dropped).
+  /// min(M, 2 * ceil(Delta / g)) slots, where M is the largest number
+  /// of the phase's packets sharing one coupler and Delta the most
+  /// packets one group sends or receives: the direct schedule when it
+  /// is no longer, else Theorem 2 on the phase's packets.
   std::vector<SlotPlan> slots;
 };
 
@@ -40,7 +43,8 @@ struct HRelationPlan {
   int h = 0;
   std::vector<HRelationPhase> phases;
 
-  /// Sum of every phase's slot count: h * theorem2_slots(topo).
+  /// Sum of every phase's slot count: at most h * theorem2_slots(topo),
+  /// the budget of routing every phase at the Theorem 2 bound.
   int total_slots() const;
 };
 

@@ -1,5 +1,7 @@
 #include "routing/router.h"
 
+#include <limits>
+
 #include "routing/engine.h"
 
 namespace pops {
@@ -18,6 +20,9 @@ std::string to_string(RouteStrategy strategy) {
 }
 
 int theorem2_slots(const Topology& topo) {
+  // 2 * ceil(d / g) <= 2 * n, which must fit an int.
+  POPS_CHECK(topo.processor_count() <= std::numeric_limits<int>::max() / 2,
+             "theorem2_slots: POPS(d, g) needs 2 * d * g to fit an int");
   if (topo.d() == 1) return 1;
   return 2 * ((topo.d() + topo.g() - 1) / topo.g());
 }

@@ -98,7 +98,8 @@ struct Request {
   int destination;
 };
 
-/// The Theorem 2 bound: 1 when d == 1, else 2 * ceil(d / g).
+/// The Theorem 2 bound: 1 when d == 1, else 2 * ceil(d / g). Aborts
+/// when 2 * d * g does not fit an int, as RoutingEngine does.
 int theorem2_slots(const Topology& topo);
 
 /// One-shot unified entry point: routes pi with options.strategy and

@@ -1,6 +1,7 @@
 #include "serve/traffic_server.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "routing/bounds.h"
 #include "support/alloc_guard.h"
@@ -21,9 +22,17 @@ int bucket_of(std::uint64_t delay) {
 
 void DelayHistogram::record(std::uint64_t delay) {
   ++count;
-  sum += delay;
+  sum_low += delay;
+  if (sum_low < delay) ++sum_high;  // the low word wrapped: carry
   max = std::max(max, delay);
   ++buckets[as_size(bucket_of(delay))];
+}
+
+double DelayHistogram::mean() const {
+  if (count == 0) return 0.0;
+  const double sum = std::ldexp(static_cast<double>(sum_high), 64) +
+                     static_cast<double>(sum_low);
+  return sum / static_cast<double>(count);
 }
 
 std::uint64_t DelayHistogram::percentile(double q) const {
@@ -78,30 +87,25 @@ TrafficServer::TrafficServer(const Topology& topo,
 }
 
 void TrafficServer::prime_scratch() {
-  // Drive two synthetic worst-shape windows through the full serving
-  // path, then zero the counters: one window concentrated on a single
-  // processor (the window degree cap: the largest coloring tables and
-  // the most phases) and one at the demand-count cap (the most
-  // requests: widest traffic graph, phase arrays and schedule). The
-  // engine's h-relation arenas keep the capacity of the largest
-  // relation they have routed, and every later window fits inside
-  // both of these shapes, so steady-state serving starts
-  // allocation-free instead of allocation-free-after-warm-up.
+  // Drive one synthetic worst-shape window through the full serving
+  // path, then zero the counters. The engine sizes every arena a phase
+  // can touch from (d, g) on its first relation, whichever schedule
+  // each phase takes; the rest grows with the window's request count
+  // and degree. Processor p sends to p + r + 1 (mod n) for r < h, so no
+  // processor sends or receives more than h, and processor 0 goes
+  // first: the window holds the most requests a window can (the
+  // demand-count cap, or h per processor) at the highest degree (the
+  // degree cap). Every later window has no more requests and no
+  // higher degree, so steady-state serving starts allocation-free
+  // instead of allocation-free-after-warm-up.
   const int n = topo_.processor_count();
   const int h = config_.max_window_degree;
-  const int degree = std::min(h, config_.max_window_demands);
-  Demand demand;
-  for (int k = 0; k < degree; ++k) {
-    demand.source = 0;
-    demand.destination = k % n;
-    submit_locked(demand);
-  }
-  execute_window();
   const long long widest = std::min<long long>(
       config_.max_window_demands, static_cast<long long>(n) * h);
   long long submitted = 0;
-  for (int r = 0; r < h && submitted < widest; ++r) {
-    for (int p = 0; p < n && submitted < widest; ++p) {
+  Demand demand;
+  for (int p = 0; p < n && submitted < widest; ++p) {
+    for (int r = 0; r < h && submitted < widest; ++r) {
       demand.source = p;
       demand.destination = (p + r + 1) % n;
       submit_locked(demand);
@@ -111,7 +115,7 @@ void TrafficServer::prime_scratch() {
   execute_window();
   stats_ = ServerStats{};
   clock_ = 0;
-  // Forget the priming windows: the accessors report no window yet.
+  // Forget the priming window: the accessors report no window yet.
   requests_.clear();
   engine_.route_h_relation(requests_);
 }

@@ -21,8 +21,9 @@
 // Ownership follows the RoutingEngine discipline: the server owns its
 // window arrays, the engine (which owns every routing intermediate)
 // and the simulator, and rebuilds them in place per window. The
-// constructor primes them with two worst-shape windows, so the
-// engine's h-relation arenas start at their largest size.
+// constructor primes them with one worst-shape window, with both the
+// most requests and the most phases a window can hold, so the engine's
+// h-relation arenas start at their largest size.
 // scratch_footprint() is the aggregate capacity the soak tests compare
 // across thousands of windows; under POPS_ALLOC_GUARD builds the
 // contract is additionally enforced at runtime: every post-priming
@@ -57,12 +58,13 @@ struct ServerConfig {
   /// Window demand-count cap: the window closes as soon as it holds
   /// this many demands.
   int max_window_demands = 1024;
-  /// How the server's engine colors each phase's H. Window traffic is
-  /// always colored with alternating path (see
+  /// How the server's engine colors H of a phase that holds all n
+  /// processors' packets (a d-regular H). Window traffic, and the H of
+  /// every smaller phase, is always colored with alternating path (see
   /// RoutingEngine::route_h_relation).
   RouterOptions router;
   /// Test-only hook: skip the constructor's arena reserves and priming
-  /// windows but still arm the steady-state allocation ban. Under
+  /// window but still arm the steady-state allocation ban. Under
   /// POPS_ALLOC_GUARD the first real window then trips the guard —
   /// the seeded violation test_alloc_guard uses to prove the ban is
   /// live. Never set this in production code.
@@ -75,7 +77,11 @@ struct ServerConfig {
 /// percentiles are bucket upper bounds.
 struct DelayHistogram {
   long long count = 0;
-  unsigned long long sum = 0;
+  /// The sum of every recorded delay as a two-word integer
+  /// (sum_high * 2^64 + sum_low): two delays near UINT64_MAX already
+  /// pass 2^64.
+  std::uint64_t sum_low = 0;
+  std::uint64_t sum_high = 0;
   std::uint64_t max = 0;
   std::array<long long, 65> buckets{};
 
@@ -83,11 +89,8 @@ struct DelayHistogram {
   /// Upper bound of the bucket holding the q-quantile (q in [0, 1]);
   /// 0 for an empty histogram.
   std::uint64_t percentile(double q) const;
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) /
-                            static_cast<double>(count);
-  }
+  /// Mean delay; 0 for an empty histogram.
+  double mean() const;
 };
 
 struct ServerStats {
@@ -100,7 +103,10 @@ struct ServerStats {
   /// Sum of executed window slot counts...
   long long slots_executed = 0;
   /// ...against the sum of per-window h-relation budgets
-  /// (h * 2 * ceil(d/g)); the König path meets the budget exactly.
+  /// (h * 2 * ceil(d/g), every phase at the Theorem 2 bound). A phase
+  /// takes at most its budget share and less whenever its busiest
+  /// group or busiest coupler allows, so slots_executed <=
+  /// budget_slots.
   long long budget_slots = 0;
   /// Largest window degree h closed so far.
   int max_window_degree = 0;

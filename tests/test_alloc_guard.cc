@@ -196,7 +196,7 @@ POPS_TEST(ProperlyReservedServerSoaksCleanUnderGuard) {
   for (int i = 0; i < 4096; ++i) server.submit(generator.next());
   server.flush();
   EXPECT_TRUE(server.stats().windows_routed > 100);
-  EXPECT_EQ(server.stats().slots_executed, server.stats().budget_slots);
+  EXPECT_TRUE(server.stats().slots_executed <= server.stats().budget_slots);
 }
 
 #else  // !POPS_ALLOC_GUARD

@@ -3,6 +3,8 @@
 // h-relations, and (b) perform no steady-state heap allocation —
 // asserted by routing repeatedly after a warm-up call and demanding
 // that no engine-owned scratch arena ever grows again.
+#include <limits>
+
 #include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
@@ -10,6 +12,7 @@
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
 #include "support/prng.h"
+#include "tests/h_relation_util.h"
 #include "tests/testing.h"
 
 namespace pops {
@@ -184,10 +187,11 @@ POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
         engine.route_h_relation(requests);
         EXPECT_EQ(engine.scratch_footprint(), warm);
       }
+      // Each phase takes exactly its shorter schedule.
+      const HRelationPlan plan = h_relation_plan(engine);
       EXPECT_EQ(engine.h_relation_schedule().slot_count(),
-                engine.phase_count() * theorem2_slots(topo));
-      EXPECT_EQ(verify_h_relation(topo, requests, h_relation_plan(engine)),
-                "");
+                testing::expected_plan_slots(topo, requests, plan));
+      EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
     }
   }
 }
@@ -209,12 +213,15 @@ POPS_TEST(HRelationPhasesPartitionTheRequests) {
     std::vector<bool> sends(as_size(n), false);
     std::vector<bool> receives(as_size(n), false);
     int previous = -1;
-    for (const int e : engine.phase_requests(c)) {
+    for (const Transmission& packet : engine.phase_packets(c)) {
+      const int e = packet.packet;
       EXPECT_TRUE(e > previous);
       previous = e;
       EXPECT_EQ(phase_of[as_size(e)], -1);
       phase_of[as_size(e)] = c;
       const Request& request = requests[as_size(e)];
+      EXPECT_EQ(packet.source, request.source);
+      EXPECT_EQ(packet.destination, request.destination);
       EXPECT_FALSE(sends[as_size(request.source)]);
       EXPECT_FALSE(receives[as_size(request.destination)]);
       sends[as_size(request.source)] = true;
@@ -222,7 +229,36 @@ POPS_TEST(HRelationPhasesPartitionTheRequests) {
     }
   }
   for (const int c : phase_of) EXPECT_TRUE(c >= 0);
-  EXPECT_ABORTS(engine.phase_requests(engine.phase_count()));
+  EXPECT_ABORTS(engine.phase_packets(engine.phase_count()));
+  // The phases tile the schedule, in order.
+  const Span<const int> offsets = engine.phase_slot_offsets();
+  EXPECT_EQ(offsets.count(), engine.phase_count() + 1);
+  EXPECT_EQ(offsets[0], 0);
+  for (int c = 0; c < engine.phase_count(); ++c) {
+    EXPECT_TRUE(offsets[as_size(c)] < offsets[as_size(c + 1)]);
+  }
+  EXPECT_EQ(offsets[as_size(engine.phase_count())],
+            engine.h_relation_schedule().slot_count());
+}
+
+POPS_TEST(EngineRejectsShapesWhoseSchedulesOverflowInt) {
+  // A schedule holds up to 2n transmissions, counted in ints. Topology
+  // accepts n = 2^30, so the engine must refuse it before reserving
+  // anything, and theorem2_slots must refuse any shape whose 2n
+  // overflows.
+  EXPECT_ABORTS_WITH(RoutingEngine(Topology(1 << 15, 1 << 15)),
+                     "2 * d * g to fit an int");
+  EXPECT_ABORTS_WITH(theorem2_slots(Topology((1 << 30) + 1, 1)),
+                     "2 * d * g to fit an int");
+  EXPECT_EQ(theorem2_slots(Topology(1 << 29, 1)), 1 << 30);
+  // Two transmissions per request must fit an int too. The length
+  // check fires before any element is read, so the view needs no
+  // storage behind it.
+  RoutingEngine engine(Topology(2, 2));
+  const Span<const Request> too_many(
+      nullptr, as_size(std::numeric_limits<int>::max() / 2) + 1);
+  EXPECT_ABORTS_WITH(engine.route_h_relation(too_many),
+                     "more than INT_MAX / 2 requests");
 }
 
 }  // namespace

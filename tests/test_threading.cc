@@ -68,9 +68,9 @@ POPS_TEST(ConcurrentSubmittersShareOneServer) {
   EXPECT_EQ(stats.demands_routed,
             static_cast<long long>(kThreads * kDemandsPerThread));
   EXPECT_TRUE(stats.windows_routed > 0);
-  // Every window met its h-relation budget exactly, interleaving or
+  // Every window stayed within its h-relation budget, interleaving or
   // not.
-  EXPECT_EQ(stats.slots_executed, stats.budget_slots);
+  EXPECT_TRUE(stats.slots_executed <= stats.budget_slots);
   EXPECT_EQ(server.pending_demands(), 0);
 }
 
