@@ -1,95 +1,117 @@
 #include "pops/network.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace pops {
 namespace {
 
-// Worst-case simultaneous occupancy of one processor buffer under
-// single-packet-per-processor traffic: its own packet (until sent), one
-// relayed packet in transit, and the finally delivered packet. The slab
-// stride starts here so steady-state execution never grows the slab.
-constexpr int kSteadyBufferReserve = 4;
+// The id index starts at 2^4 slots and doubles; a 32-bit Fibonacci
+// hash keeps its top log2(size) bits.
+constexpr int kMinIdSlotsLog2 = 4;
 
 }  // namespace
 
 Network::Network(const Topology& topo)
     : topo_(topo),
-      slab_stride_(kSteadyBufferReserve),
-      buffer_count_(as_size(topo.processor_count()), 0),
-      slab_id_(as_size(topo.processor_count()) *
-               as_size(kSteadyBufferReserve)),
-      slab_source_(slab_id_.size()),
-      slab_destination_(slab_id_.size()),
-      slab_size_(slab_id_.size()),
-      slab_hops_(slab_id_.size()),
-      source_stamp_(as_size(topo.processor_count()), 0),
-      coupler_stamp_(as_size(topo.coupler_count()), 0),
-      receiver_stamp_(as_size(topo.processor_count()), 0),
-      packet_of_source_(as_size(topo.processor_count()), -1),
-      source_of_coupler_(as_size(topo.coupler_count()), -1),
-      buffer_index_of_source_(as_size(topo.processor_count()), -1),
-      in_flight_(as_size(topo.processor_count())) {
-  touched_sources_.reserve(as_size(topo.processor_count()));
-}
-
-void Network::grow_stride(int new_stride) {
-  if (new_stride <= slab_stride_) return;
-  const int n = topo_.processor_count();
-  std::vector<int>* slabs[] = {&slab_id_, &slab_source_,
-                               &slab_destination_, &slab_size_,
-                               &slab_hops_};
-  for (std::vector<int>* slab : slabs) {
-    slab->resize(as_size(n) * as_size(new_stride));
-  }
-  // Shift occupied prefixes back to front: row p's new start is at or
-  // past its old start, so later rows are rehomed before earlier rows
-  // could overwrite them, and copy_backward handles the in-row overlap.
-  for (int p = n - 1; p > 0; --p) {
-    const std::size_t count = as_size(buffer_count_[as_size(p)]);
-    if (count == 0) continue;
-    const std::size_t old_base = as_size(p) * as_size(slab_stride_);
-    const std::size_t new_base = as_size(p) * as_size(new_stride);
-    for (std::vector<int>* slab : slabs) {
-      int* data = slab->data();
-      std::copy_backward(data + old_base, data + old_base + count,
-                         data + new_base + count);
-    }
-  }
-  slab_stride_ = new_stride;
+      held_count_(as_size(topo.processor_count()), 0),
+      id_index_(std::size_t{1} << kMinIdSlotsLog2, IdSlot{0, -1}),
+      id_shift_(32 - kMinIdSlotsLog2),
+      senders_(as_size(topo.processor_count()), Sender{0, -1, -1}),
+      drivers_(as_size(topo.coupler_count()), Driver{0, -1}),
+      receiver_stamp_(as_size(topo.processor_count()), 0) {
+  // Permutation traffic, one packet per processor, never grows storage.
+  reserve_packets(topo.processor_count());
 }
 
 void Network::reset() {
-  std::fill(buffer_count_.begin(), buffer_count_.end(), 0);
-  packet_count_ = 0;
+  clear_packets();
   stats_ = NetworkStats{};
   failure_.clear();
+}
+
+void Network::clear_packets() {
+  packets_.clear();
+  next_same_id_.clear();
+  std::fill(held_count_.begin(), held_count_.end(), 0);
+  if (id_count_ > 0) {
+    std::fill(id_index_.begin(), id_index_.end(), IdSlot{0, -1});
+    id_count_ = 0;
+  }
+}
+
+std::size_t Network::id_slot(int id) const {
+  const std::size_t mask = id_index_.size() - 1;
+  std::size_t slot =
+      (static_cast<std::uint32_t>(id) * std::uint32_t{0x9E3779B9}) >>
+      id_shift_;
+  while (id_index_[slot].record >= 0 && id_index_[slot].id != id) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void Network::reserve_ids(int ids) {
+  std::size_t size = id_index_.size();
+  if (2 * as_size(ids) <= size) return;
+  while (size < 2 * as_size(ids)) {
+    size *= 2;
+    --id_shift_;
+  }
+  std::vector<IdSlot> old(size, IdSlot{0, -1});
+  old.swap(id_index_);
+  for (const IdSlot& entry : old) {
+    if (entry.record >= 0) id_index_[id_slot(entry.id)] = entry;
+  }
+}
+
+int Network::append_record(Packet packet, int at) {
+  const int record = as_int(packets_.size());
+  // Field by field: copying a whole temporary record stalls on store
+  // forwarding. `packet` is a copy, so it survives a reallocation.
+  HeldPacket& held = packets_.emplace_back();
+  held.packet = packet;
+  held.at = at;
+  ++held_count_[as_size(at)];
+  return record;
+}
+
+int Network::find_packet(int processor, int packet_id) const {
+  for (int r = id_index_[id_slot(packet_id)].record; r >= 0;
+       r = next_same_id_[as_size(r)]) {
+    if (packets_[as_size(r)].at == processor) return r;
+  }
+  return -1;
+}
+
+int Network::only_packet(int processor) const {
+  if (held_count_[as_size(processor)] != 1) return -1;
+  for (std::size_t r = 0; r < packets_.size(); ++r) {
+    if (packets_[r].at == processor) return as_int(r);
+  }
+  return -1;
 }
 
 void Network::load_permutation_traffic(const Permutation& pi) {
   POPS_CHECK(pi.size() == topo_.processor_count(),
              "permutation size does not match the topology");
-  // Writes the slab rows directly: one packet per processor always
-  // fits the stride (>= 1), sources are the loop variable, and a
-  // Permutation's images are in range by construction, so the
-  // per-packet range checks of load_packet would be dead.
+  // Writes the records and the index directly: sources are the loop
+  // variable and a Permutation's images are in range by construction,
+  // so load_packet's range checks would be dead, and the ids are
+  // distinct, so no id chains form.
+  clear_packets();
   const int n = pi.size();
-  const std::size_t stride = as_size(slab_stride_);
-  int* id = slab_id_.data();
-  int* source_field = slab_source_.data();
-  int* destination = slab_destination_.data();
-  int* size = slab_size_.data();
-  int* hops = slab_hops_.data();
+  reserve_ids(n);
+  packets_.resize(as_size(n));
+  next_same_id_.assign(as_size(n), -1);
+  std::fill(held_count_.begin(), held_count_.end(), 1);
   for (int source = 0; source < n; ++source) {
-    const std::size_t at = as_size(source) * stride;
-    id[at] = source;
-    source_field[at] = source;
-    destination[at] = pi(source);
-    size[at] = 1;
-    hops[at] = 0;
+    HeldPacket& held = packets_[as_size(source)];
+    held.packet = Packet{source, source, pi(source), 1, 0};
+    held.at = source;
+    id_index_[id_slot(source)] = IdSlot{source, source};
   }
-  std::fill(buffer_count_.begin(), buffer_count_.end(), 1);
-  packet_count_ = n;
+  id_count_ = n;
   failure_.clear();
 }
 
@@ -100,17 +122,18 @@ void Network::load_packet(Packet packet) {
   POPS_CHECK(packet.destination >= -1 &&
                  packet.destination < topo_.processor_count(),
              "load_packet: destination out of range");
-  const int count = buffer_count_[as_size(packet.source)];
-  if (count == slab_stride_) grow_stride(2 * slab_stride_);
-  const std::size_t at =
-      as_size(packet.source) * as_size(slab_stride_) + as_size(count);
-  slab_id_[at] = packet.id;
-  slab_source_[at] = packet.source;
-  slab_destination_[at] = packet.destination;
-  slab_size_[at] = packet.size;
-  slab_hops_[at] = packet.hops;
-  buffer_count_[as_size(packet.source)] = count + 1;
-  ++packet_count_;
+  const int record = append_record(packet, packet.source);
+  std::size_t slot = id_slot(packet.id);
+  if (id_index_[slot].record < 0) {
+    if (2 * as_size(id_count_ + 1) > id_index_.size()) {
+      reserve_ids(id_count_ + 1);
+      slot = id_slot(packet.id);
+    }
+    id_index_[slot].id = packet.id;
+    ++id_count_;
+  }
+  next_same_id_.push_back(id_index_[slot].record);
+  id_index_[slot].record = record;
 }
 
 bool Network::execute(const FlatSchedule& schedule) {
@@ -125,13 +148,15 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
   if (!ok()) return false;
   const long long slot_index = stats_.slots_executed;
   const int n = topo_.processor_count();
+  const int d = topo_.d();
+  const int g = topo_.g();
   ++epoch_;
-  touched_sources_.clear();
   long long busy_couplers = 0;
+  int unresolved = -1;  // first sender whose packet is missing
 
-  // --- Validation pass: nothing is moved until the whole slot checks
-  // out against the optical model. Range checks are fused in, so the
-  // slot iterates `transmissions` twice in total (validate, commit).
+  // --- Pass 1: check every transmission against the optical model and
+  // resolve each sender's packet record. Nothing moves, so a rejected
+  // slot leaves the network as it was.
   for (const Transmission& t : transmissions) {
     if (t.source < 0 || t.source >= n) {
       return fail("slot ", slot_index, ": source processor ", t.source,
@@ -141,31 +166,38 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
       return fail("slot ", slot_index, ": destination processor ",
                   t.destination, " out of range");
     }
-    const int src_group = topo_.group_of(t.source);
-    const int dst_group = topo_.group_of(t.destination);
-    const int coupler = topo_.coupler(dst_group, src_group);
+    // Both ends are in range, so their groups follow by division
+    // (Topology::group_of and coupler would check the ranges again).
+    const int src_group = t.source / d;
+    const int dst_group = t.destination / d;
+    const int coupler = dst_group * g + src_group;
 
     // One packet per transmitting processor (multicast onto several
-    // couplers is the same packet on each).
-    if (source_stamp_[as_size(t.source)] != epoch_) {
-      source_stamp_[as_size(t.source)] = epoch_;
-      packet_of_source_[as_size(t.source)] = t.packet;
-      touched_sources_.push_back(t.source);
-    } else if (packet_of_source_[as_size(t.source)] != t.packet) {
+    // couplers is the same packet on each). Its record is looked up at
+    // first sight; a missing packet is reported only after the whole
+    // slot passes the rule checks.
+    Sender& sender = senders_[as_size(t.source)];
+    if (sender.stamp != epoch_) {
+      sender.stamp = epoch_;
+      sender.packet = t.packet;
+      sender.record = t.packet == -1 ? only_packet(t.source)
+                                     : find_packet(t.source, t.packet);
+      if (sender.record < 0 && unresolved < 0) unresolved = t.source;
+    } else if (sender.packet != t.packet) {
       return fail("slot ", slot_index, ": processor ", t.source,
-                  " transmits two different packets (",
-                  packet_of_source_[as_size(t.source)], " and ", t.packet,
-                  ")");
+                  " transmits two different packets (", sender.packet,
+                  " and ", t.packet, ")");
     }
     // One transmitter per coupler.
-    if (coupler_stamp_[as_size(coupler)] != epoch_) {
-      coupler_stamp_[as_size(coupler)] = epoch_;
-      source_of_coupler_[as_size(coupler)] = t.source;
+    Driver& driver = drivers_[as_size(coupler)];
+    if (driver.stamp != epoch_) {
+      driver.stamp = epoch_;
+      driver.source = t.source;
       ++busy_couplers;
-    } else if (source_of_coupler_[as_size(coupler)] != t.source) {
+    } else if (driver.source != t.source) {
       return fail("slot ", slot_index, ": coupler c(", dst_group, ",",
                   src_group, ") oversubscribed by processors ",
-                  source_of_coupler_[as_size(coupler)], " and ", t.source);
+                  driver.source, " and ", t.source);
     }
     // One tuned coupler per receiver.
     if (receiver_stamp_[as_size(t.destination)] == epoch_) {
@@ -174,105 +206,76 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
     }
     receiver_stamp_[as_size(t.destination)] = epoch_;
   }
-
-  // Resolve each transmitting processor's packet in its slab row.
-  const int* slab_id = slab_id_.data();
-  for (const int source : touched_sources_) {
-    const int count = buffer_count_[as_size(source)];
-    const int packet_id = packet_of_source_[as_size(source)];
+  if (unresolved >= 0) {
+    const int packet_id = senders_[as_size(unresolved)].packet;
     if (packet_id == -1) {
-      if (count != 1) {
-        return fail("slot ", slot_index, ": processor ", source,
-                    " asked to send 'any' packet but holds ", count);
-      }
-      buffer_index_of_source_[as_size(source)] = 0;
-      continue;
+      return fail("slot ", slot_index, ": processor ", unresolved,
+                  " asked to send 'any' packet but holds ",
+                  held_count_[as_size(unresolved)]);
     }
-    const int* id = slab_id + as_size(source) * as_size(slab_stride_);
-    int found = count;
-    for (int i = 0; i < count; ++i) {
-      if (id[i] == packet_id) {
-        found = i;
-        break;
-      }
-    }
-    if (found == count) {
-      return fail("slot ", slot_index, ": processor ", source,
-                  " does not hold packet ", packet_id);
-    }
-    buffer_index_of_source_[as_size(source)] = found;
+    return fail("slot ", slot_index, ": processor ", unresolved,
+                " does not hold packet ", packet_id);
   }
 
-  // --- Commit pass: withdraw every transmitted packet (swap-and-pop
-  // with the row's last packet — buffer order carries no semantics),
-  // then deliver one copy per tuned receiver. ---
-  for (const int source : touched_sources_) {
-    const std::size_t base =
-        as_size(source) * as_size(slab_stride_);
-    const std::size_t at =
-        base + as_size(buffer_index_of_source_[as_size(source)]);
-    in_flight_[as_size(source)] =
-        Packet{slab_id_[at], slab_source_[at], slab_destination_[at],
-               slab_size_[at], slab_hops_[at]};
-    const int last = buffer_count_[as_size(source)] - 1;
-    const std::size_t back = base + as_size(last);
-    slab_id_[at] = slab_id_[back];
-    slab_source_[at] = slab_source_[back];
-    slab_destination_[at] = slab_destination_[back];
-    slab_size_[at] = slab_size_[back];
-    slab_hops_[at] = slab_hops_[back];
-    buffer_count_[as_size(source)] = last;
-    --packet_count_;
-  }
+  // --- Pass 2: commit. A sender's first transmission moves its packet
+  // to the receiver; each further one (multicast) delivers a copy.
   for (const Transmission& t : transmissions) {
-    const Packet& packet = in_flight_[as_size(t.source)];
-    const int count = buffer_count_[as_size(t.destination)];
-    if (count == slab_stride_) grow_stride(2 * slab_stride_);
-    const std::size_t at =
-        as_size(t.destination) * as_size(slab_stride_) + as_size(count);
-    slab_id_[at] = packet.id;
-    slab_source_[at] = packet.source;
-    slab_destination_[at] = packet.destination;
-    slab_size_[at] = packet.size;
-    slab_hops_[at] = packet.hops + 1;
-    buffer_count_[as_size(t.destination)] = count + 1;
-    ++packet_count_;
-    ++stats_.packets_moved;
+    int& record = senders_[as_size(t.source)].record;
+    if (record >= 0) {
+      HeldPacket& held = packets_[as_size(record)];
+      --held_count_[as_size(t.source)];
+      ++held_count_[as_size(t.destination)];
+      held.at = t.destination;
+      ++held.packet.hops;
+      record = ~record;  // moved: the sender's later transmissions copy it
+    } else {
+      // The copy joins its original's id chain, so execute() never
+      // touches the id index.
+      const int original = ~record;
+      const int copy =
+          append_record(packets_[as_size(original)].packet, t.destination);
+      const int next = next_same_id_[as_size(original)];
+      next_same_id_.push_back(next);
+      next_same_id_[as_size(original)] = copy;
+    }
   }
 
   stats_.slots_executed += 1;
+  stats_.packets_moved += static_cast<long long>(transmissions.size());
   stats_.coupler_slots_busy += busy_couplers;
   stats_.coupler_slot_capacity += topo_.coupler_count();
   return true;
 }
 
 bool Network::all_delivered() const {
-  const int* destination = slab_destination_.data();
-  for (int p = 0; p < topo_.processor_count(); ++p) {
-    const int* row = destination + as_size(p) * as_size(slab_stride_);
-    const int count = buffer_count_[as_size(p)];
-    for (int i = 0; i < count; ++i) {
-      if (row[i] != p) return false;
-    }
+  for (const HeldPacket& held : packets_) {
+    if (held.packet.destination != held.at) return false;
   }
   return true;
 }
 
-std::size_t Network::scratch_capacity() const {
-  return buffer_count_.capacity() + slab_id_.capacity() +
-         slab_source_.capacity() + slab_destination_.capacity() +
-         slab_size_.capacity() + slab_hops_.capacity() +
-         source_stamp_.capacity() + coupler_stamp_.capacity() +
-         receiver_stamp_.capacity() + packet_of_source_.capacity() +
-         source_of_coupler_.capacity() +
-         buffer_index_of_source_.capacity() + in_flight_.capacity() +
-         touched_sources_.capacity();
+PacketBuffer Network::buffer(int processor) const {
+  POPS_CHECK(processor >= 0 && processor < topo_.processor_count(),
+             "buffer: processor out of range");
+  std::vector<Packet> packets;
+  for (const HeldPacket& held : packets_) {
+    if (held.at == processor) packets.push_back(held.packet);
+  }
+  return PacketBuffer(std::move(packets));
 }
 
-void Network::reserve_buffers(int per_processor) {
-  POPS_CHECK(per_processor >= 0,
-             "reserve_buffers needs a nonnegative capacity");
-  grow_stride(per_processor);
+std::size_t Network::scratch_capacity() const {
+  return packets_.capacity() + next_same_id_.capacity() +
+         held_count_.capacity() + id_index_.capacity() +
+         senders_.capacity() + drivers_.capacity() +
+         receiver_stamp_.capacity();
+}
+
+void Network::reserve_packets(int count) {
+  POPS_CHECK(count >= 0, "reserve_packets needs a nonnegative count");
+  packets_.reserve(as_size(count));
+  next_same_id_.reserve(as_size(count));
+  reserve_ids(count);
 }
 
 }  // namespace pops

@@ -16,16 +16,19 @@
 // refuses (with a recorded failure string) anything that violates
 // them. Every number the benches print comes from a schedule that went
 // through this simulator. Schedules arrive as FlatSchedule slot spans
-// (or one hand-built SlotPlan at a time); all slot bookkeeping lives
-// in stamped scratch arrays owned by the Network,
-// and the packets themselves live in one pooled SoA slab (fixed-stride
-// per-processor regions over five parallel field arrays), so executing
-// a slot strides contiguous memory and performs no heap allocation
-// once the slab is warm.
+// (or one hand-built SlotPlan at a time). The Network keeps one flat
+// record per held packet (the packet and the processor holding it)
+// and a flat index from packet id to record, so a transmission finds
+// its packet in O(1). A slot takes two passes over its transmissions:
+// the first checks every rule and resolves each sender's packet, the
+// second moves the packets. Slot bookkeeping lives in stamped scratch
+// arrays, so executing unicast traffic performs no heap allocation
+// once the records are sized.
 #pragma once
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "perm/permutation.h"
@@ -114,67 +117,33 @@ struct NetworkStats {
   }
 };
 
-/// Non-owning view of one processor's packets inside the Network's
-/// pooled SoA slab. operator[] (and the iterator) gathers a Packet by
-/// value from the five parallel field arrays; range-for with
-/// `const Packet&` binds the gathered temporary as usual. Valid until
-/// the next mutating Network call (loading, executing, or resetting
-/// may grow or rewrite the slab).
-class PacketBufferView {
+/// One packet the Network holds (a loaded packet or a multicast copy),
+/// and the processor `at` that holds it.
+struct HeldPacket {
+  Packet packet;
+  int at;
+};
+
+/// The packets one processor holds, gathered by Network::buffer().
+/// operator[] returns by value, so `net.buffer(p)[0].id` stays valid
+/// after the gathered buffer, a temporary, is gone.
+class PacketBuffer {
  public:
-  PacketBufferView(const int* id, const int* source,
-                   const int* destination, const int* size,
-                   const int* hops, int count)
-      : id_(id),
-        source_(source),
-        destination_(destination),
-        size_(size),
-        hops_(hops),
-        count_(count) {}
+  explicit PacketBuffer(std::vector<Packet> packets)
+      : packets_(std::move(packets)) {}
 
-  std::size_t size() const { return as_size(count_); }
-  int count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
+  std::size_t size() const { return packets_.size(); }
   Packet operator[](std::size_t i) const {
-    POPS_CHECK(i < as_size(count_),
-               "PacketBufferView index out of range");
-    return Packet{id_[i], source_[i], destination_[i], size_[i],
-                  hops_[i]};
+    POPS_CHECK(i < packets_.size(), "PacketBuffer index out of range");
+    return packets_[i];
   }
-
-  /// Gather iterator over the view it came from; the view must stay
-  /// alive for as long as its iterators (range-for guarantees this).
-  class Iterator {
-   public:
-    Iterator(const PacketBufferView* view, int at)
-        : view_(view), at_(at) {}
-    Packet operator*() const { return (*view_)[as_size(at_)]; }
-    Iterator& operator++() {
-      ++at_;
-      return *this;
-    }
-    bool operator==(const Iterator& other) const {
-      return at_ == other.at_;
-    }
-    bool operator!=(const Iterator& other) const {
-      return at_ != other.at_;
-    }
-
-   private:
-    const PacketBufferView* view_;
-    int at_;
-  };
-  Iterator begin() const { return Iterator(this, 0); }
-  Iterator end() const { return Iterator(this, count_); }
+  std::vector<Packet>::const_iterator begin() const {
+    return packets_.begin();
+  }
+  std::vector<Packet>::const_iterator end() const { return packets_.end(); }
 
  private:
-  const int* id_;
-  const int* source_;
-  const int* destination_;
-  const int* size_;
-  const int* hops_;
-  int count_;
+  std::vector<Packet> packets_;
 };
 
 class POPS_THREAD_COMPATIBLE Network {
@@ -212,34 +181,37 @@ class POPS_THREAD_COMPATIBLE Network {
 
   const Topology& topology() const { return topo_; }
   const NetworkStats& stats() const { return stats_; }
-  /// The packets currently held at `processor`, as a gather view into
-  /// the SoA slab. Withdrawal is swap-and-pop, so buffer order is an
-  /// implementation detail — delivery semantics never depend on it.
-  PacketBufferView buffer(int processor) const {
-    POPS_CHECK(processor >= 0 && processor < topo_.processor_count(),
-               "buffer: processor out of range");
-    const std::size_t base =
-        as_size(processor) * as_size(slab_stride_);
-    return PacketBufferView(
-        slab_id_.data() + base, slab_source_.data() + base,
-        slab_destination_.data() + base, slab_size_.data() + base,
-        slab_hops_.data() + base, buffer_count_[as_size(processor)]);
+  /// Every packet held, with its location, in no particular order.
+  /// Valid until the next mutating Network call.
+  Span<const HeldPacket> packets() const {
+    return Span<const HeldPacket>(packets_);
   }
-  int packet_count() const { return packet_count_; }
+  /// True when `processor` holds a packet with id `packet_id`: the
+  /// O(1) lookup execute() resolves each sender's packet with.
+  bool holds(int processor, int packet_id) const {
+    return find_packet(processor, packet_id) >= 0;
+  }
+  /// The packets currently held at `processor`, gathered from
+  /// packets() in O(packet_count()). Order carries no semantics:
+  /// execute() resolves packets by id, and an "any" send needs its
+  /// sender to hold exactly one packet.
+  PacketBuffer buffer(int processor) const;
+  int packet_count() const { return as_int(packets_.size()); }
 
-  /// Total capacity of the packet buffers and slot scratch arenas, in
-  /// elements — compared across executions by the zero-allocation
-  /// tests.
+  /// Total capacity of the packet records, the id index and the slot
+  /// scratch arenas, in elements — compared across executions by the
+  /// zero-allocation tests.
   std::size_t scratch_capacity() const;
 
-  /// Pre-sizes every per-processor packet buffer: executions whose
-  /// peak buffer occupancy stays within `per_processor` packets never
-  /// grow scratch_capacity(). The TrafficServer calls this with its
-  /// window worst case so steady-state serving is allocation-free.
-  void reserve_buffers(int per_processor);
+  /// Pre-sizes the packet records and the id index for `count`
+  /// packets: loading at most `count` packets then allocates nothing,
+  /// and neither does executing them unicast (only a multicast copy
+  /// adds a record). The TrafficServer calls this with its window's
+  /// demand cap so steady-state serving is allocation-free.
+  void reserve_packets(int count);
 
   /// Arms a ScopedAllocationBan around every subsequent execute()
-  /// call: once the owner has warmed/reserved the buffers, any heap
+  /// call: once the owner has warmed/reserved the records, any heap
   /// allocation while executing a schedule aborts under
   /// POPS_ALLOC_GUARD builds. The RoutingEngine and TrafficServer arm
   /// their internal simulators after their first verified run.
@@ -260,41 +232,66 @@ class POPS_THREAD_COMPATIBLE Network {
     return false;
   }
 
-  /// Widens every per-processor slab region to `new_stride` packets,
-  /// shifting occupied prefixes in place (back to front, so rows never
-  /// overwrite each other). No-op when new_stride <= slab_stride_.
-  void grow_stride(int new_stride);
+  /// One id-index entry: packet id `id` maps to its newest loaded
+  /// record; the other records with that id (older loads and multicast
+  /// copies) hang off next_same_id_. An entry with record == -1 is
+  /// empty.
+  struct IdSlot {
+    int id;
+    int record;
+  };
+
+  /// Drops every packet and empties the id index (capacity is kept).
+  void clear_packets();
+  /// Appends a record for `packet` at processor `at` and returns it;
+  /// the caller links it into its id chain.
+  int append_record(Packet packet, int at);
+  /// Grows the id index, if needed, to hold `ids` distinct ids at a
+  /// load factor of at most 1/2.
+  void reserve_ids(int ids);
+  /// The index slot of `id`: its entry, or the empty slot it would
+  /// take. Probing starts at a 32-bit Fibonacci hash of `id`.
+  std::size_t id_slot(int id) const;
+  /// The record of a packet with id `packet_id` held at `processor`,
+  /// or -1.
+  int find_packet(int processor, int packet_id) const;
+  /// The record of the one packet `processor` holds, or -1 unless it
+  /// holds exactly one (the "any" rule). Scans every record: only
+  /// hand-built multicast slots send "any".
+  int only_packet(int processor) const;
 
   Topology topo_;
-  // Pooled SoA packet slab: processor p's packets occupy indices
-  // [p * slab_stride_, p * slab_stride_ + buffer_count_[p]) of five
-  // parallel field arrays. Fixed stride keeps rows independent, so
-  // loading and delivering are O(1) appends and withdrawal is a
-  // swap-and-pop instead of vector::erase's O(k) shift.
-  int slab_stride_ = 0;
-  std::vector<int> buffer_count_;  // per processor
-  std::vector<int> slab_id_;
-  std::vector<int> slab_source_;
-  std::vector<int> slab_destination_;
-  std::vector<int> slab_size_;
-  std::vector<int> slab_hops_;
-  int packet_count_ = 0;
+  // One record per held packet, in load order with multicast copies
+  // appended; a transmission updates its record in place. The id index
+  // is a flat open-addressed table (Fibonacci hash, linear probing,
+  // power-of-two size) sized from the packet count, never from the
+  // largest id. Loading is the only way in: execute() never rehashes.
+  std::vector<HeldPacket> packets_;
+  std::vector<int> next_same_id_;  // per record; -1 ends the chain
+  std::vector<int> held_count_;    // per processor
+  std::vector<IdSlot> id_index_;
+  int id_shift_ = 0;  // 32 - log2(id_index_.size())
+  int id_count_ = 0;  // distinct ids indexed
   NetworkStats stats_;
   std::string failure_;
   bool steady_banned_ = false;
 
   // Per-slot scratch arenas. An entry is valid only when its stamp
   // equals epoch_ (bumped once per execute_slot), so no clearing pass
-  // over the n + g^2 arrays is needed between slots.
+  // over the n + g^2 entries is needed between slots.
+  struct Sender {
+    long long stamp;
+    int packet;  // the id this processor transmits
+    int record;  // its record; ~record once pass 2 has moved it
+  };
+  struct Driver {
+    long long stamp;
+    int source;  // the processor driving this coupler
+  };
   long long epoch_ = 0;
-  std::vector<long long> source_stamp_;    // per processor
-  std::vector<long long> coupler_stamp_;   // per coupler
+  std::vector<Sender> senders_;            // per processor
+  std::vector<Driver> drivers_;            // per coupler
   std::vector<long long> receiver_stamp_;  // per processor
-  std::vector<int> packet_of_source_;      // per processor
-  std::vector<int> source_of_coupler_;     // per coupler
-  std::vector<int> buffer_index_of_source_;  // per processor
-  std::vector<Packet> in_flight_;          // per processor
-  std::vector<int> touched_sources_;       // distinct senders, in order
 };
 
 }  // namespace pops

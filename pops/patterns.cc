@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace pops {
@@ -100,6 +101,10 @@ ArrivalGenerator::ArrivalGenerator(const Topology& topo,
     : topo_(topo), config_(config), rng_(config.seed) {
   POPS_CHECK(config_.mean_gap_ticks >= 0,
              "ArrivalConfig: mean_gap_ticks must be >= 0");
+  // next() draws gaps up to 2 * mean_gap_ticks + 1 as an int.
+  POPS_CHECK(config_.mean_gap_ticks <=
+                 (std::numeric_limits<int>::max() - 1) / 2,
+             "ArrivalConfig: mean_gap_ticks is too large");
   if (config_.process == ArrivalProcess::kZipfHotGroup) {
     POPS_CHECK(config_.zipf_exponent > 0,
                "ArrivalConfig: zipf_exponent must be positive");
@@ -119,6 +124,13 @@ ArrivalGenerator::ArrivalGenerator(const Topology& topo,
                "ArrivalConfig: mean_burst_length must be >= 1");
     POPS_CHECK(config_.mean_off_gap_ticks >= 1,
                "ArrivalConfig: mean_off_gap_ticks must be >= 1");
+    // next() draws bursts and idle gaps up to twice their means.
+    POPS_CHECK(config_.mean_burst_length <=
+                   std::numeric_limits<int>::max() / 2,
+               "ArrivalConfig: mean_burst_length is too large");
+    POPS_CHECK(config_.mean_off_gap_ticks <=
+                   std::numeric_limits<int>::max() / 2,
+               "ArrivalConfig: mean_off_gap_ticks is too large");
   }
 }
 

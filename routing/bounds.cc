@@ -9,7 +9,8 @@ namespace pops {
 
 int ceil_div(int a, int b) {
   POPS_CHECK(a >= 0 && b >= 1, "ceil_div needs a >= 0, b >= 1");
-  return (a + b - 1) / b;
+  // a + b - 1 would overflow for a near INT_MAX.
+  return a / b + (a % b != 0 ? 1 : 0);
 }
 
 int lower_bound_slots(const Topology& topo, const Permutation& pi) {
@@ -77,9 +78,9 @@ int lower_bound_slots(const Topology& topo, const Permutation& pi) {
   return bound;
 }
 
-int h_relation_budget(const Topology& topo, int h) {
+long long h_relation_budget(const Topology& topo, int h) {
   POPS_CHECK(h >= 0, "h_relation_budget needs h >= 0");
-  return h * theorem2_slots(topo);
+  return static_cast<long long>(h) * theorem2_slots(topo);
 }
 
 }  // namespace pops

@@ -44,6 +44,7 @@ int lower_bound_slots(const Topology& topo, const Permutation& pi);
 /// h * theorem2_slots(topo) slots (h when d == 1). Routing each phase
 /// on its own packets never takes more (RoutingEngine::route_h_relation);
 /// the TrafficServer reports executed window slots against this number.
-int h_relation_budget(const Topology& topo, int h);
+/// 64-bit: a large h on a large d/g overflows an int.
+long long h_relation_budget(const Topology& topo, int h);
 
 }  // namespace pops

@@ -262,9 +262,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   FlatSchedule direct_schedule_;
 
   // --- Portfolio scratch ---
-  // Constructed on the first verifying call: the simulator's
-  // per-processor buffers and stamp arrays are the engine's largest
-  // arena, and the unverified theorem2/direct paths never touch them.
+  // Constructed on the first verifying call: the simulator's packet
+  // records, id index and stamp arrays are a large arena, and the
+  // unverified theorem2/direct paths never touch them.
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 

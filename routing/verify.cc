@@ -7,19 +7,22 @@ namespace pops {
 namespace {
 
 // "" when every packet sits at its destination, else a description of
-// the first stranded (undelivered or misdelivered) packet.
+// the stranded (undelivered or misdelivered) packet at the lowest
+// processor. One pass over the held packets.
 std::string first_stranded_packet(const Network& net) {
-  const Topology& topo = net.topology();
-  for (int p = 0; p < topo.processor_count(); ++p) {
-    for (const Packet& packet : net.buffer(p)) {
-      if (packet.destination != p) {
-        return str_cat("packet ", packet.id, " (", packet.source, " -> ",
-                       packet.destination, ") stranded at processor ", p,
-                       " after ", net.stats().slots_executed, " slots");
-      }
+  const HeldPacket* stranded = nullptr;
+  for (const HeldPacket& held : net.packets()) {
+    if (held.packet.destination != held.at &&
+        (stranded == nullptr || held.at < stranded->at)) {
+      stranded = &held;
     }
   }
-  return "";
+  if (stranded == nullptr) return "";
+  const Packet& packet = stranded->packet;
+  return str_cat("packet ", packet.id, " (", packet.source, " -> ",
+                 packet.destination, ") stranded at processor ",
+                 stranded->at, " after ", net.stats().slots_executed,
+                 " slots");
 }
 
 }  // namespace
@@ -43,17 +46,11 @@ VerificationResult verify_schedule(const Topology& topo,
   // packet addressed to it.
   result.failure = first_stranded_packet(net);
   if (!result.failure.empty()) return result;
+  // Nothing is stranded, so every packet p holds is addressed to p.
   const Permutation inverse = pi.inverse();
   for (int p = 0; p < topo.processor_count(); ++p) {
     const int expected_id = inverse(p);
-    bool found = false;
-    for (const Packet& packet : net.buffer(p)) {
-      if (packet.id == expected_id && packet.destination == p) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (!net.holds(p, expected_id)) {
       result.failure =
           str_cat("processor ", p, " never received packet ",
                   expected_id, " (misdelivered or dropped)");
@@ -88,14 +85,7 @@ std::string verify_h_relation(const Topology& topo,
   }
   for (std::size_t k = 0; k < requests.size(); ++k) {
     const Request& request = requests[k];
-    bool found = false;
-    for (const Packet& packet : net.buffer(request.destination)) {
-      if (packet.id == as_int(k)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (!net.holds(request.destination, as_int(k))) {
       return str_cat("request ", k, " (", request.source, " -> ",
                      request.destination, ") was not delivered after ",
                      plan.total_slots(), " slots");

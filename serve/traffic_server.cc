@@ -69,13 +69,9 @@ TrafficServer::TrafficServer(const Topology& topo,
   if (!config_.debug_shrink_reserves) {
     demands_.reserve(as_size(config_.max_window_demands));
     requests_.reserve(as_size(config_.max_window_demands));
-    // Peak buffer occupancy of a processor: its un-sent window sources
-    // plus its delivered packets (each at most the window degree) plus
-    // relayed packets in flight (drained within one phase, so at most
-    // one per phase slot).
-    const int degree =
-        std::min(config_.max_window_degree, config_.max_window_demands);
-    net_.reserve_buffers(2 * degree + theorem2_slots(topo_));
+    // A window loads one packet per demand and routes it unicast, so
+    // the simulator never holds more than the demand cap.
+    net_.reserve_packets(config_.max_window_demands);
     prime_scratch();
   }
   // From here on every window executes under the allocation ban. With

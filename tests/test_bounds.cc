@@ -3,6 +3,8 @@
 // paper's Propositions promise tightness.
 #include "routing/bounds.h"
 
+#include <limits>
+
 #include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
@@ -20,6 +22,11 @@ POPS_TEST(CeilDiv) {
   EXPECT_EQ(ceil_div(4, 3), 2);
   EXPECT_ABORTS(ceil_div(-1, 3));
   EXPECT_ABORTS(ceil_div(1, 0));
+  // a + b - 1 does not fit an int here; the quotient does.
+  EXPECT_EQ(ceil_div(std::numeric_limits<int>::max(), 2), 1073741824);
+  EXPECT_EQ(ceil_div(std::numeric_limits<int>::max(),
+                     std::numeric_limits<int>::max()),
+            1);
 }
 
 POPS_TEST(IdentityNeedsNoSlots) {
@@ -109,6 +116,8 @@ POPS_TEST(HRelationBudget) {
   EXPECT_EQ(h_relation_budget(topo, 3), 12);
   EXPECT_EQ(h_relation_budget(line, 5), 5);
   EXPECT_ABORTS(h_relation_budget(topo, -1));
+  // 8 phases of 2 * 2^29 slots each: 2^33 does not fit an int.
+  EXPECT_EQ(h_relation_budget(Topology(1 << 29, 1), 8), 1LL << 33);
 }
 
 POPS_TEST(BoundRejectsWrongSize) {

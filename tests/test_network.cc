@@ -1,7 +1,15 @@
+#include <algorithm>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "perm/families.h"
 #include "pops/network.h"
+#include "support/format.h"
+#include "support/prng.h"
 #include "tests/testing.h"
 
 namespace pops {
@@ -216,9 +224,10 @@ POPS_TEST(RejectsPhantomPacket) {
 }
 
 POPS_TEST(WithdrawalOrderCarriesNoSemantics) {
-  // Withdrawal is a swap-and-pop: sending the front packet moves the
-  // row's last packet into its slot. Delivery resolves packets by id,
-  // so the permuted buffer order must never be observable.
+  // Sending a packet may reorder what its processor still holds:
+  // buffer() lists a processor's packets in no particular order.
+  // Delivery resolves packets by id, so that order must never be
+  // observable.
   const Topology topo(2, 2);
   Network net(topo);
   net.load_packet(Packet{10, 0, 1, 1, 0});
@@ -251,8 +260,8 @@ POPS_TEST(WithdrawalOrderCarriesNoSemantics) {
 POPS_TEST(AnyPacketSendRequiresExactlyOnePacket) {
   // The destination == -1 "any" path is only legal when the buffer
   // holds exactly one packet, so it cannot observe buffer order either
-  // — together with the lookup-by-id path this makes the swap-and-pop
-  // reordering fully unobservable.
+  // — together with the lookup-by-id path this makes buffer order
+  // fully unobservable.
   const Topology topo(2, 2);
   {
     Network net(topo);
@@ -267,7 +276,7 @@ POPS_TEST(AnyPacketSendRequiresExactlyOnePacket) {
   }
   {
     // After a by-id withdrawal leaves exactly one packet, "any"
-    // succeeds on the survivor regardless of where the swap left it.
+    // succeeds on the survivor.
     Network net(topo);
     net.load_packet(Packet{20, 0, 1, 1, 0});
     net.load_packet(Packet{21, 0, -1, 1, 0});
@@ -306,9 +315,9 @@ POPS_TEST(RejectsOutOfRangeTransmissionsAtomically) {
               std::string::npos);
 }
 
-POPS_TEST(SlabGrowthPreservesQueuedPackets) {
-  // Overflowing one processor's fixed-stride slab region re-strides the
-  // whole slab; every other processor's row must move intact.
+POPS_TEST(ManyPacketsAtOneProcessorKeepEveryBufferIntact) {
+  // Nine packets queue at one processor while three others hold one
+  // each; every processor must still report exactly its own packets.
   const Topology topo(2, 2);
   Network net(topo);
   net.load_packet(Packet{1, 0, 3, 1, 0});
@@ -345,6 +354,352 @@ POPS_TEST(ResetAndReloadClearFailures) {
   net.reset();
   EXPECT_EQ(net.packet_count(), 0);
   EXPECT_EQ(net.stats().slots_executed, 0LL);
+}
+
+// The simulator's contract in its plainest form: one packet list per
+// processor. A slot is checked rule by rule in transmission order; then
+// each sender's packet is found (in order of first appearance), all of
+// them are withdrawn, and every transmission delivers one copy.
+class ReferenceNetwork {
+ public:
+  explicit ReferenceNetwork(const Topology& topo)
+      : topo_(topo), held_(as_size(topo.processor_count())) {}
+
+  void reset() {
+    for (std::vector<Packet>& packets : held_) packets.clear();
+    stats_ = NetworkStats{};
+    failure_.clear();
+  }
+  void load_permutation_traffic(const Permutation& pi) {
+    for (int p = 0; p < pi.size(); ++p) {
+      held_[as_size(p)] = {Packet{p, p, pi(p), 1, 0}};
+    }
+    failure_.clear();
+  }
+  void load_packet(const Packet& packet) {
+    held_[as_size(packet.source)].push_back(packet);
+  }
+
+  bool execute_slot(const std::vector<Transmission>& slot) {
+    if (!failure_.empty()) return false;
+    const long long s = stats_.slots_executed;
+    const int n = topo_.processor_count();
+    std::map<int, int> packet_of;          // sender -> packet id
+    std::vector<int> senders;              // by first appearance
+    std::map<int, int> source_of_coupler;  // coupler -> sender
+    std::set<int> receivers;
+    for (const Transmission& t : slot) {
+      if (t.source < 0 || t.source >= n) {
+        return fail("slot ", s, ": source processor ", t.source,
+                    " out of range");
+      }
+      if (t.destination < 0 || t.destination >= n) {
+        return fail("slot ", s, ": destination processor ", t.destination,
+                    " out of range");
+      }
+      const int src_group = topo_.group_of(t.source);
+      const int dst_group = topo_.group_of(t.destination);
+      const auto sent = packet_of.emplace(t.source, t.packet);
+      if (sent.second) {
+        senders.push_back(t.source);
+      } else if (sent.first->second != t.packet) {
+        return fail("slot ", s, ": processor ", t.source,
+                    " transmits two different packets (",
+                    sent.first->second, " and ", t.packet, ")");
+      }
+      const auto driven = source_of_coupler.emplace(
+          topo_.coupler(dst_group, src_group), t.source);
+      if (driven.first->second != t.source) {
+        return fail("slot ", s, ": coupler c(", dst_group, ",", src_group,
+                    ") oversubscribed by processors ", driven.first->second,
+                    " and ", t.source);
+      }
+      if (!receivers.insert(t.destination).second) {
+        return fail("slot ", s, ": processor ", t.destination,
+                    " tunes to more than one coupler");
+      }
+    }
+    std::map<int, std::size_t> position_of;  // sender -> its packet
+    for (const int sender : senders) {
+      const std::vector<Packet>& held = held_[as_size(sender)];
+      const int id = packet_of[sender];
+      std::size_t k = 0;
+      if (id == -1 && held.size() != 1) {
+        return fail("slot ", s, ": processor ", sender,
+                    " asked to send 'any' packet but holds ", held.size());
+      }
+      while (id != -1 && k < held.size() && held[k].id != id) ++k;
+      if (k == held.size()) {
+        return fail("slot ", s, ": processor ", sender,
+                    " does not hold packet ", id);
+      }
+      position_of[sender] = k;
+    }
+    std::map<int, Packet> in_flight;
+    for (const auto& [sender, k] : position_of) {
+      std::vector<Packet>& held = held_[as_size(sender)];
+      in_flight[sender] = held[k];
+      ++in_flight[sender].hops;
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    for (const Transmission& t : slot) {
+      held_[as_size(t.destination)].push_back(in_flight[t.source]);
+    }
+    stats_.slots_executed += 1;
+    stats_.packets_moved += as_int(slot.size());
+    stats_.coupler_slots_busy += as_int(source_of_coupler.size());
+    stats_.coupler_slot_capacity += topo_.coupler_count();
+    return true;
+  }
+
+  const std::vector<Packet>& held(int p) const { return held_[as_size(p)]; }
+  const NetworkStats& stats() const { return stats_; }
+  const std::string& failure() const { return failure_; }
+
+ private:
+  template <typename... Parts>
+  bool fail(const Parts&... parts) {
+    failure_ = str_cat(parts...);
+    return false;
+  }
+
+  Topology topo_;
+  std::vector<std::vector<Packet>> held_;
+  NetworkStats stats_;
+  std::string failure_;
+};
+
+using PacketKey = std::tuple<int, int, int, int, int>;
+
+std::vector<PacketKey> sorted_keys(const std::vector<Packet>& packets) {
+  std::vector<PacketKey> keys;
+  for (const Packet& p : packets) {
+    keys.emplace_back(p.id, p.source, p.destination, p.size, p.hops);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// "" when the simulator and the model agree on everything observable.
+std::string first_difference(const Network& net,
+                             const ReferenceNetwork& model) {
+  const int n = net.topology().processor_count();
+  if (net.ok() != model.failure().empty()) return "ok()";
+  if (net.failure() != model.failure()) {
+    return "failure(): \"" + net.failure() + "\" vs \"" + model.failure() +
+           "\"";
+  }
+  const NetworkStats& a = net.stats();
+  const NetworkStats& b = model.stats();
+  if (a.slots_executed != b.slots_executed ||
+      a.packets_moved != b.packets_moved ||
+      a.coupler_slots_busy != b.coupler_slots_busy ||
+      a.coupler_slot_capacity != b.coupler_slot_capacity) {
+    return "stats()";
+  }
+  int count = 0;
+  bool delivered = true;
+  for (int p = 0; p < n; ++p) {
+    const std::vector<Packet>& expected = model.held(p);
+    count += as_int(expected.size());
+    for (const Packet& packet : expected) {
+      delivered = delivered && packet.destination == p;
+    }
+    std::vector<Packet> actual;
+    for (const Packet& packet : net.buffer(p)) actual.push_back(packet);
+    if (sorted_keys(actual) != sorted_keys(expected)) {
+      return str_cat("packets held at processor ", p);
+    }
+  }
+  if (net.packet_count() != count) return "packet_count()";
+  if (net.all_delivered() != delivered) return "all_delivered()";
+  return "";
+}
+
+// Which of two different packets with one id a processor sends is left
+// open, so the generated slots never ask.
+bool ambiguous(const ReferenceNetwork& model, int n,
+               const std::vector<Transmission>& slot) {
+  std::set<int> seen;
+  for (const Transmission& t : slot) {
+    if (t.source < 0 || t.source >= n || t.packet == -1 ||
+        !seen.insert(t.source).second) {
+      continue;
+    }
+    std::set<PacketKey> variants;
+    for (const Packet& p : model.held(t.source)) {
+      if (p.id == t.packet) {
+        variants.emplace(p.id, p.source, p.destination, p.size, p.hops);
+      }
+    }
+    if (variants.size() > 1) return true;
+  }
+  return false;
+}
+
+int random_id(Rng& rng, int n) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  switch (rng.next_below(7)) {
+    case 0: return -1;
+    case 1: return n + rng.next_below(3);
+    case 2: return kMax - rng.next_below(3);
+    case 3: return -2 - rng.next_below(3);
+    case 4: return kMin + rng.next_below(2);
+    default: return rng.next_below(2 * n);  // duplicates are likely
+  }
+}
+
+// Mostly legal transmissions (with multicast fan-out and "any" sends)
+// from the model's current state, plus at times one transmission that
+// breaks a rule, inserted at a random position.
+std::vector<Transmission> random_slot(const ReferenceNetwork& model,
+                                      const Topology& topo, Rng& rng) {
+  const int n = topo.processor_count();
+  std::vector<Transmission> slot;
+  std::vector<int> source_of_coupler(as_size(topo.coupler_count()), -1);
+  std::vector<bool> receiving(as_size(n), false);
+  std::vector<int> id_of(as_size(n), 0);
+  std::vector<bool> sending(as_size(n), false);
+  for (int k = 0; k < n; ++k) {
+    const int sender = rng.next_below(n);
+    const std::vector<Packet>& held = model.held(sender);
+    if (held.empty()) continue;
+    int& id = id_of[as_size(sender)];
+    if (!sending[as_size(sender)]) {
+      sending[as_size(sender)] = true;
+      id = held[as_size(rng.next_below(as_int(held.size())))].id;
+      if (held.size() == 1 && rng.next_below(4) == 0) id = -1;
+    }
+    const int copies = rng.next_below(4) == 0 ? 1 + rng.next_below(3) : 1;
+    for (int c = 0; c < copies; ++c) {
+      const int receiver = rng.next_below(n);
+      const int coupler = topo.coupler(topo.group_of(receiver),
+                                       topo.group_of(sender));
+      const int driver = source_of_coupler[as_size(coupler)];
+      if (receiving[as_size(receiver)] || (driver != -1 && driver != sender)) {
+        continue;
+      }
+      receiving[as_size(receiver)] = true;
+      source_of_coupler[as_size(coupler)] = sender;
+      slot.push_back(Transmission{sender, receiver, id});
+    }
+  }
+  if (rng.next_below(6) != 0) return slot;
+  Transmission bad{rng.next_below(n), rng.next_below(n), random_id(rng, n)};
+  const Transmission other =
+      slot.empty() ? bad : slot[as_size(rng.next_below(as_int(slot.size())))];
+  switch (rng.next_below(7)) {
+    case 0:  // source out of range
+      bad.source = rng.next_below(2) == 0 ? -1 : n;
+      break;
+    case 1:  // destination out of range
+      bad.destination = rng.next_below(2) == 0 ? -1 : n + 1;
+      break;
+    case 2:  // a second packet from one sender
+      bad.source = other.source;
+      bad.packet = other.packet ^ 1;  // another id, never overflowing
+      break;
+    case 3:  // another sender onto a busy coupler
+      bad.source = topo.processor(topo.group_of(other.source),
+                                  rng.next_below(topo.d()));
+      bad.destination = topo.processor(topo.group_of(other.destination),
+                                       rng.next_below(topo.d()));
+      break;
+    case 4:  // a second coupler for one receiver
+      bad.destination = other.destination;
+      break;
+    case 5:  // "any" from a sender holding 0, 1 or more packets
+      bad.packet = -1;
+      break;
+    default:  // a random id, usually a phantom
+      break;
+  }
+  slot.insert(slot.begin() + rng.next_below(as_int(slot.size()) + 1), bad);
+  return slot;
+}
+
+POPS_TEST(MatchesReferenceModelOnRandomOperations) {
+  int operations = 0;
+  for (const auto& [d, g] :
+       {std::pair{1, 5}, {2, 2}, {3, 4}, {4, 3}, {5, 1}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    Rng rng(static_cast<std::uint64_t>(97 * d + g));
+    Network net(topo);
+    ReferenceNetwork model(topo);
+    std::string difference;
+    for (int op = 0; op < 4600 && difference.empty(); ++op) {
+      const int kind = rng.next_below(20);
+      int held = 0;
+      for (int p = 0; p < n; ++p) held += as_int(model.held(p).size());
+      if (kind == 0 || held > 6 * n) {
+        net.reset();
+        model.reset();
+      } else if (kind < 3) {
+        const Permutation pi = Permutation::random(n, rng);
+        net.load_permutation_traffic(pi);
+        model.load_permutation_traffic(pi);
+      } else if (kind < 7) {
+        const Packet packet{random_id(rng, n), rng.next_below(n),
+                            rng.next_below(n + 1) - 1, 1 + rng.next_below(3),
+                            rng.next_below(3)};
+        net.load_packet(packet);
+        model.load_packet(packet);
+      } else {
+        // One slot, or a two-slot FlatSchedule built on the state the
+        // first slot leaves.
+        const int slot_count = kind < 16 ? 1 : 2;
+        ReferenceNetwork after = model;
+        std::vector<std::vector<Transmission>> slots;
+        bool skip = false;
+        for (int s = 0; s < slot_count && !skip; ++s) {
+          slots.push_back(random_slot(after, topo, rng));
+          skip = ambiguous(after, n, slots.back());
+          after.execute_slot(slots.back());
+        }
+        if (skip) continue;
+        bool executed = true;
+        if (slot_count == 1) {
+          executed = net.execute_slot(Span<const Transmission>(slots[0]));
+        } else {
+          FlatSchedule schedule;
+          for (const std::vector<Transmission>& slot : slots) {
+            schedule.begin_slot();
+            for (const Transmission& t : slot) schedule.push(t);
+          }
+          executed = net.execute(schedule);
+        }
+        bool expected = true;
+        for (const std::vector<Transmission>& slot : slots) {
+          expected = expected && model.execute_slot(slot);
+        }
+        if (executed != expected) difference = "execute() result";
+      }
+      ++operations;
+      if (difference.empty()) difference = first_difference(net, model);
+      if (!difference.empty()) {
+        difference = str_cat(topo.to_string(), " operation ", op, ": ",
+                             difference);
+      }
+    }
+    EXPECT_EQ(difference, std::string());
+  }
+  EXPECT_TRUE(operations >= 20000);
+}
+
+POPS_TEST(ScratchFollowsPacketCountNotLargestId) {
+  // Ids spread up to INT_MAX - 1 must not size anything by id.
+  const Topology topo(2, 2);
+  Network net(topo);
+  const int count = 64;
+  const int step = (std::numeric_limits<int>::max() - 1) / (count - 1);
+  for (int k = 0; k < count; ++k) {
+    net.load_packet(Packet{k * step, k % 4, (k + 1) % 4, 1, 0});
+  }
+  EXPECT_EQ(net.packet_count(), count);
+  EXPECT_EQ(net.buffer(1)[0].id % step, 0);
+  EXPECT_TRUE(net.scratch_capacity() <= 8 * as_size(count));
 }
 
 }  // namespace

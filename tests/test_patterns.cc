@@ -2,6 +2,9 @@
 // deterministic permutations that the Theorem 2 engine routes at the
 // bound, and one_to_all is an accepted optical multicast.
 #include "pops/patterns.h"
+
+#include <limits>
+
 #include "routing/engine.h"
 #include "routing/verify.h"
 #include "tests/testing.h"
@@ -143,6 +146,26 @@ POPS_TEST(ArrivalProcessNamesAndValidation) {
   ArrivalConfig config;
   config.mean_gap_ticks = -1;
   EXPECT_ABORTS(ArrivalGenerator(Topology(2, 2), config));
+  // next() doubles each mean as an int: the first mean whose doubling
+  // overflows is rejected, and the largest accepted ones draw.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  config.mean_gap_ticks = (kMax - 1) / 2 + 1;
+  EXPECT_ABORTS(ArrivalGenerator(Topology(2, 2), config));
+  ArrivalConfig bursty;
+  bursty.process = ArrivalProcess::kBurstyOnOff;
+  bursty.mean_burst_length = kMax / 2 + 1;
+  EXPECT_ABORTS(ArrivalGenerator(Topology(2, 2), bursty));
+  bursty.mean_burst_length = 1;
+  bursty.mean_off_gap_ticks = kMax / 2 + 1;
+  EXPECT_ABORTS(ArrivalGenerator(Topology(2, 2), bursty));
+  bursty.mean_gap_ticks = (kMax - 1) / 2;
+  bursty.mean_burst_length = kMax / 2;
+  bursty.mean_off_gap_ticks = kMax / 2;
+  ArrivalGenerator largest(Topology(2, 2), bursty);
+  EXPECT_TRUE(largest.next().arrival_tick >= 1);
+  config.mean_gap_ticks = (kMax - 1) / 2;
+  ArrivalGenerator widest(Topology(2, 2), config);
+  EXPECT_TRUE(widest.next().destination >= 0);
 }
 
 POPS_TEST(ZipfHotGroupSkewsTowardGroupZero) {

@@ -63,8 +63,7 @@ POPS_TEST(SingleDemandWindow) {
             testing::expected_plan_slots(topo, server.last_window_requests(),
                                          server.last_window_plan()));
   EXPECT_EQ(stats.slots_executed, 1);
-  EXPECT_EQ(stats.budget_slots, static_cast<long long>(
-                                    h_relation_budget(topo, 1)));
+  EXPECT_EQ(stats.budget_slots, h_relation_budget(topo, 1));
   // Window executes at max(clock=0, arrival=3) and takes its slots.
   EXPECT_EQ(server.now(), std::uint64_t{3} + 1);
   EXPECT_EQ(stats.queueing_delay.count, 1);
