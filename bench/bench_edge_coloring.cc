@@ -1,12 +1,12 @@
 // Experiment E4 — ablation of the 1-factorization bottleneck itself.
 //
-// Times the edge-coloring backends on random Delta-regular bipartite
-// multigraphs over the tier's (n, Delta) sweep, reporting ns/edge. This
-// isolates the Remark 1 cost from the rest of the routing pipeline.
+// Times the two edge-coloring backends on random Delta-regular
+// bipartite multigraphs over the tier's (n, Delta) sweep, reporting
+// ns/edge. This isolates the Remark 1 cost from the rest of the routing
+// pipeline. Each tier's sweep holds one odd Delta, which times
+// euler-split's matching peel.
 #include "bench_common.h"
 #include "graph/edge_coloring.h"
-#include "graph/euler_split.h"
-#include "graph/hopcroft_karp.h"
 #include "graph/random.h"
 #include "graph/validation.h"
 #include "support/format.h"
@@ -41,8 +41,7 @@ double ns_per_edge(const BipartiteMultigraph& g,
 void print_tables() {
   Rng rng(4);
   std::cout << "=== E4: edge coloring, ns/edge on Delta-regular graphs ===\n";
-  Table table({"n", "Delta", "edges", "alternating-path", "euler-split",
-               "matching-peel", "circuit-peel"});
+  Table table({"n", "Delta", "edges", "alternating-path", "euler-split"});
   for (const ColoringPoint point : tier().coloring_grid) {
     const BipartiteMultigraph g =
         random_regular(point.n, point.degree, rng);
@@ -56,7 +55,7 @@ void print_tables() {
   }
   table.print(std::cout);
   std::cout << "Expected shape: per-edge cost of euler-split grows ~log "
-               "Delta;\nmatching-peel grows ~Delta*sqrt(n); "
+               "Delta, plus one\nrandom-walk matching peel per odd level; "
                "alternating-path grows with n\n(path lengths) but has the "
                "smallest constants on small instances.\n\n";
 }
@@ -83,42 +82,14 @@ void BM_EdgeColoring(benchmark::State& state) {
   state.SetLabel(to_string(algorithm));
 }
 
-void BM_EulerSplitOnly(benchmark::State& state) {
-  Rng rng(46);
-  const BipartiteMultigraph g = random_regular(
-      static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
-      rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(euler_split(g));
-  }
-  state.SetItemsProcessed(state.iterations() * g.edge_count());
-}
-
-void BM_PerfectMatching(benchmark::State& state) {
-  Rng rng(47);
-  const BipartiteMultigraph g = random_regular(
-      static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
-      rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(maximum_matching(g));
-  }
-  state.SetItemsProcessed(state.iterations());  // matchings found
-}
-
 void register_tier_benches() {
   auto* coloring =
       benchmark::RegisterBenchmark("BM_EdgeColoring", BM_EdgeColoring);
-  auto* euler = benchmark::RegisterBenchmark("BM_EulerSplitOnly",
-                                             BM_EulerSplitOnly);
-  auto* matching = benchmark::RegisterBenchmark("BM_PerfectMatching",
-                                                BM_PerfectMatching);
   for (const ColoringPoint point : tier().coloring_grid) {
     for (const auto algorithm : kAllColoringAlgorithms) {
       coloring->Args(
           {point.n, point.degree, static_cast<int>(algorithm)});
     }
-    euler->Args({point.n, point.degree});
-    matching->Args({point.n, point.degree});
   }
 }
 

@@ -67,7 +67,8 @@ struct TierSpec {
   /// Values crossed d x g for the exhaustive Theorem 2 table (E1).
   std::vector<int> table_axis;
 
-  /// Edge-coloring ablation (n, Delta) sweep (E4).
+  /// Edge-coloring ablation (n, Delta) sweep (E4). The last point has
+  /// an odd Delta, so euler-split's matching peel is timed too.
   std::vector<ColoringPoint> coloring_grid;
 
   /// h values for h-relation routing (E10).
@@ -105,7 +106,7 @@ inline const std::vector<TierSpec>& all_tiers() {
           "toy sizes, sub-second; default for ctest/CI smoke",
           /*grid=*/{{1, 4}, {2, 2}, {4, 4}, {8, 4}},
           /*table_axis=*/{1, 2, 4},
-          /*coloring_grid=*/{{16, 2}, {32, 4}},
+          /*coloring_grid=*/{{16, 2}, {32, 4}, {16, 3}},
           /*h_values=*/{1, 2},
           /*serve_grid=*/{{2, 2, 2}, {4, 4, 4}},
           /*serve_table_windows=*/60,
@@ -120,7 +121,7 @@ inline const std::vector<TierSpec>& all_tiers() {
           "PR regression gate; matches the historical bench grids",
           /*grid=*/{{4, 4}, {16, 16}, {64, 8}, {8, 64}, {32, 32}},
           /*table_axis=*/{1, 2, 4, 8, 16, 32},
-          /*coloring_grid=*/{{64, 8}, {256, 16}},
+          /*coloring_grid=*/{{64, 8}, {256, 16}, {32, 31}},
           /*h_values=*/{2, 4, 8},
           /*serve_grid=*/{{4, 4, 4}, {8, 4, 4}, {16, 8, 8}},
           /*serve_table_windows=*/500,
@@ -135,7 +136,7 @@ inline const std::vector<TierSpec>& all_tiers() {
           "weekly drift watch; thousands of processors",
           /*grid=*/{{16, 16}, {32, 32}, {64, 64}, {128, 32}, {32, 128}},
           /*table_axis=*/{1, 4, 16, 64},
-          /*coloring_grid=*/{{256, 16}, {1024, 32}},
+          /*coloring_grid=*/{{256, 16}, {1024, 32}, {256, 15}},
           /*h_values=*/{4, 8, 16},
           /*serve_grid=*/{{16, 8, 8}, {32, 16, 8}, {64, 16, 16}},
           /*serve_table_windows=*/1000,
@@ -150,7 +151,7 @@ inline const std::vector<TierSpec>& all_tiers() {
           "manual dispatch; production-scale shapes (n = 16K)",
           /*grid=*/{{32, 32}, {64, 64}, {128, 128}, {256, 64}, {64, 256}},
           /*table_axis=*/{1, 8, 32, 128},
-          /*coloring_grid=*/{{1024, 32}, {4096, 64}},
+          /*coloring_grid=*/{{1024, 32}, {4096, 64}, {1024, 63}},
           /*h_values=*/{8, 16, 32},
           /*serve_grid=*/{{64, 16, 16}, {128, 32, 16}, {128, 64, 32}},
           /*serve_table_windows=*/2000,

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "support/check.h"
-#include "support/span.h"
-#include "support/thread_annotations.h"
 
 namespace pops {
 
@@ -92,74 +90,6 @@ class BipartiteMultigraph {
   std::vector<Edge> edges_;
   std::vector<int> left_degree_;
   std::vector<int> right_degree_;
-};
-
-/// Flat CSR adjacency view over combined vertex ids: left vertices
-/// first ([0, L)), then right vertices ([L, L + R)). For a vertex v,
-/// incidence()[offsets()[v] .. offsets()[v + 1]) lists the incident
-/// edge ids.
-///
-/// build() views a whole multigraph; build_subset() re-derives the
-/// view for an arbitrary edge subset whose endpoints live in flat
-/// caller storage (the EdgeColorer's padded regularized edge array).
-/// Both rebuild in place into owned flat arrays, so a view rebuilt for
-/// same-sized inputs never allocates — the divide-and-conquer coloring
-/// backends call build_subset once per matching peel out of one reused
-/// view instead of copying subgraphs.
-///
-/// Thread-compatible, not thread-safe: every build is a mutation, so
-/// use one view per thread (the EdgeColorer discipline).
-class POPS_THREAD_COMPATIBLE CsrAdjacency {
- public:
-  /// Rebuilds the view over every edge of `graph`.
-  void build(const BipartiteMultigraph& graph);
-
-  /// Rebuilds the view over the edges listed in `edge_ids`, with
-  /// endpoints read from `edges` (which must be indexable by every
-  /// listed id). left_count/right_count bound the vertex ids.
-  void build_subset(Span<const int> edge_ids, Span<const Edge> edges,
-                    int left_count, int right_count);
-
-  /// Pre-sizes the view for up to `vertex_count` vertices and
-  /// `edges` built edges: later builds within those bounds never
-  /// allocate.
-  void reserve(int vertex_count, int edges) {
-    offset_.reserve(as_size(vertex_count + 1));
-    incident_.reserve(2 * as_size(edges));
-    cursor_.reserve(as_size(vertex_count));
-  }
-
-  int left_count() const { return left_count_; }
-  int vertex_count() const { return vertex_count_; }
-
-  int degree(int vertex) const {
-    return offset_[as_size(vertex + 1)] - offset_[as_size(vertex)];
-  }
-  /// offsets().size() == vertex_count() + 1.
-  Span<const int> offsets() const {
-    return Span<const int>(offset_.data(), offset_.size());
-  }
-  /// One flat array of edge ids; every built edge appears twice (once
-  /// per endpoint).
-  Span<const int> incidence() const {
-    return Span<const int>(incident_.data(), incident_.size());
-  }
-
-  /// Capacity snapshot for the zero-allocation tests.
-  std::size_t scratch_capacity() const {
-    return offset_.capacity() + incident_.capacity() +
-           cursor_.capacity();
-  }
-
- private:
-  void start_build(int left_count, int right_count);
-  void finish_build(std::size_t incidence_size);
-
-  std::vector<int> offset_;    // vertex_count_ + 1 entries
-  std::vector<int> incident_;  // 2 * built edge count entries
-  std::vector<int> cursor_;    // per-vertex fill cursor
-  int left_count_ = 0;
-  int vertex_count_ = 0;
 };
 
 }  // namespace pops

@@ -1,6 +1,10 @@
 #include "graph/edge_coloring.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+
+#include "support/prng.h"
 
 namespace pops {
 namespace {
@@ -17,10 +21,6 @@ std::string to_string(ColoringAlgorithm algorithm) {
       return "alternating-path";
     case ColoringAlgorithm::kEulerSplit:
       return "euler-split";
-    case ColoringAlgorithm::kMatchingPeel:
-      return "matching-peel";
-    case ColoringAlgorithm::kCircuitPeel:
-      return "circuit-peel";
   }
   POPS_CHECK(false, "unknown ColoringAlgorithm");
   return "";
@@ -39,20 +39,14 @@ void EdgeColorer::color(const BipartiteMultigraph& graph,
       color_alternating(graph, delta, out);
       return;
     case ColoringAlgorithm::kEulerSplit:
-      color_dnc(graph, delta, /*bottom_degree=*/1, out);
-      return;
-    case ColoringAlgorithm::kMatchingPeel:
-      color_matching_peel(graph, delta, out);
-      return;
-    case ColoringAlgorithm::kCircuitPeel:
-      color_dnc(graph, delta, /*bottom_degree=*/2, out);
+      color_dnc(graph, delta, out);
       return;
   }
   POPS_CHECK(false, "unknown ColoringAlgorithm");
 }
 
 // ---------------------------------------------------------------------
-// Divide-and-conquer backends on flat scratch.
+// Euler-split divide and conquer on flat scratch.
 //
 // setup_regular pads the input to a delta-regular multigraph on
 // max(L, R) + max(L, R) vertices inside dc_edges_ (original edge ids
@@ -69,7 +63,10 @@ int EdgeColorer::setup_regular(const BipartiteMultigraph& graph,
                                int delta) {
   const int n = std::max(graph.left_count(), graph.right_count());
   const int m = graph.edge_count();
-  const int m_pad = delta * n;
+  const long long padded = static_cast<long long>(delta) * n;
+  POPS_CHECK(padded <= std::numeric_limits<int>::max(),
+             "regularize: delta * max side overflows int");
+  const int m_pad = static_cast<int>(padded);
   regular_n_ = n;
   dc_edges_.resize(as_size(m_pad));
   dc_deg_left_.assign(as_size(n), 0);
@@ -116,6 +113,10 @@ int EdgeColorer::setup_regular(const BipartiteMultigraph& graph,
   dc_aux_.resize(as_size(m_pad));
   dc_partner_.resize(as_size(m_pad));
   dc_pending_.assign(as_size(n), -1);
+  dc_match_left_.resize(as_size(n));
+  dc_match_right_.resize(as_size(n));
+  dc_walk_.resize(as_size(n));
+  dc_walk_at_.resize(as_size(n));
   return m_pad;
 }
 
@@ -174,33 +175,79 @@ int EdgeColorer::split_even(int lo, int hi) {
   return lo + half;
 }
 
-// Peels one perfect matching off the range (a regular bipartite
-// multigraph always has one), colors the matched real edges, compacts
-// the rest to the front in order, and returns the new range end.
+// Peels one perfect matching off the k-regular range [lo, hi) (a
+// regular bipartite multigraph always has one), colors the matched real
+// edges, compacts the rest to the front in order, and returns the new
+// range end.
+//
+// Each free left vertex grows the matching by one augmenting path,
+// found by the random walk of Goel, Kapralov and Khanna: from the
+// current left vertex take a uniformly random position other than its
+// matched one; at a free right vertex stop, else go on from that
+// vertex's mate. A step back into a right vertex the walk already
+// reached erases the loop it closes, so the walk stays a path with
+// distinct vertices, and rematching along it adds one pair. The walk
+// is seeded from the range bounds alone.
+//
+// Positions inside are relative to lo.
 int EdgeColorer::peel_matching(int lo, int hi, int color_value,
                                EdgeColoring& out) {
-  dc_adj_.build_subset(
-      Span<const int>(dc_work_.data() + lo, as_size(hi - lo)),
-      Span<const Edge>(dc_edges_), regular_n_, regular_n_);
-  const int size =
-      dc_matching_.match(dc_adj_, Span<const Edge>(dc_edges_));
-  POPS_CHECK(size == regular_n_,
-             "regular multigraph without a perfect matching");
-  const int* match_left = dc_matching_.left_edges().data();
+  const int n = regular_n_;
+  const int k = (hi - lo) / n;
   const Edge* edges = dc_edges_.data();
-  const int real_edges = as_int(out.color.size());
-  int* color = out.color.data();
-  int* work = dc_work_.data();
-  int write = lo;
-  for (int i = lo; i < hi; ++i) {
-    const int e = work[i];
-    if (match_left[edges[e].left] == e) {
-      if (e < real_edges) color[e] = color_value;
-    } else {
-      work[write++] = e;
+  int* work = dc_work_.data() + lo;
+  int* match_left = dc_match_left_.data();
+  int* match_right = dc_match_right_.data();
+  int* walk = dc_walk_.data();
+  // walk_at[v] is stale unless walk step walk_at[v] < length reaches v,
+  // so it never needs clearing.
+  int* walk_at = dc_walk_at_.data();
+  std::fill(match_left, match_left + n, -1);
+  std::fill(match_right, match_right + n, -1);
+  Rng rng((static_cast<std::uint64_t>(lo) << 32) |
+          static_cast<std::uint32_t>(hi));
+  for (int start = 0; start < n; ++start) {
+    if (match_left[start] >= 0) continue;
+    int length = 0;
+    int left = start;
+    while (true) {
+      const int matched = match_left[left];
+      int p = left * k;
+      if (matched < 0) {
+        p += rng.next_below(k);
+      } else {
+        p += rng.next_below(k - 1);
+        p += static_cast<int>(p >= matched);
+      }
+      const int right = edges[work[p]].right;
+      const int seen = walk_at[right];
+      if (seen < length && edges[work[walk[seen]]].right == right) {
+        length = seen + 1;  // keep the step into right, drop the loop
+      } else {
+        walk_at[right] = length;
+        walk[length++] = p;
+      }
+      if (match_right[right] < 0) break;
+      left = match_right[right] / k;
+    }
+    for (int s = 0; s < length; ++s) {
+      match_left[walk[s] / k] = walk[s];
+      match_right[edges[work[walk[s]]].right] = walk[s];
     }
   }
-  return write;
+
+  const int real_edges = as_int(out.color.size());
+  int* color = out.color.data();
+  int write = 0;
+  for (int left = 0; left < n; ++left) {
+    const int matched = match_left[left];
+    if (work[matched] < real_edges) color[work[matched]] = color_value;
+    const int block_end = (left + 1) * k;
+    for (int i = left * k; i < block_end; ++i) {
+      if (i != matched) work[write++] = work[i];
+    }
+  }
+  return lo + write;
 }
 
 // Colors the edges at positions [lo, hi) of dc_work_, skipping padding
@@ -216,7 +263,7 @@ void EdgeColorer::paint(int lo, int hi, int color_value,
 }
 
 void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
-                            int bottom_degree, EdgeColoring& out) {
+                            EdgeColoring& out) {
   const int m_pad = setup_regular(graph, delta);
   out.color.assign(as_size(graph.edge_count()), -1);
   out.num_colors = delta;
@@ -240,29 +287,11 @@ void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
       continue;
     }
     const int mid = split_even(range.lo, range.hi);
-    if (range.delta == 2 && bottom_degree == 2) {
-      // 2-regular: the pairing cycles are the circuits, and the split
-      // alternates along each one.
-      paint(range.lo, mid, range.base, out);
-      paint(mid, range.hi, range.base + 1, out);
-      continue;
-    }
     dc_stack_.push_back(DncRange{mid, range.hi, range.delta / 2,
                                  range.base + range.delta / 2});
     dc_stack_.push_back(
         DncRange{range.lo, mid, range.delta / 2, range.base});
   }
-}
-
-void EdgeColorer::color_matching_peel(const BipartiteMultigraph& graph,
-                                      int delta, EdgeColoring& out) {
-  int hi = setup_regular(graph, delta);
-  out.color.assign(as_size(graph.edge_count()), -1);
-  out.num_colors = delta;
-  for (int round = 0; round < delta; ++round) {
-    hi = peel_matching(0, hi, round, out);
-  }
-  POPS_CHECK(hi == 0, "matching peel left uncolored edges");
 }
 
 // ---------------------------------------------------------------------
@@ -498,8 +527,10 @@ void EdgeColorer::reserve(int vertices, int edges, int max_degree) {
   dc_deg_left_.reserve(side);
   dc_deg_right_.reserve(side);
   dc_stack_.reserve(kDncStackCapacity);
-  dc_adj_.reserve(2 * vertices, as_int(padded));
-  dc_matching_.reserve(vertices);
+  dc_match_left_.reserve(side);
+  dc_match_right_.reserve(side);
+  dc_walk_.reserve(side);
+  dc_walk_at_.reserve(side);
 }
 
 std::size_t EdgeColorer::scratch_capacity() const {
@@ -510,8 +541,9 @@ std::size_t EdgeColorer::scratch_capacity() const {
          dc_work_.capacity() + dc_aux_.capacity() +
          dc_partner_.capacity() + dc_pending_.capacity() +
          dc_deg_left_.capacity() + dc_deg_right_.capacity() +
-         dc_stack_.capacity() + dc_adj_.scratch_capacity() +
-         dc_matching_.scratch_capacity();
+         dc_stack_.capacity() + dc_match_left_.capacity() +
+         dc_match_right_.capacity() + dc_walk_.capacity() +
+         dc_walk_at_.capacity();
 }
 
 EdgeColoring color_edges(const BipartiteMultigraph& graph,

@@ -1,32 +1,31 @@
 // Proper edge coloring of bipartite multigraphs with Delta colors.
 //
 // König's theorem: the chromatic index of a bipartite multigraph equals
-// its maximum degree Delta. The constructive proofs become the three
-// classic algorithm families the paper's Remark 1 leans on, plus a
-// circuit-peeling variant:
+// its maximum degree Delta. Two of its constructive proofs are the two
+// backends:
 //
 //   * alternating-path: insert edges one by one; on a color clash flip
 //     a two-colored alternating path (O(V*E) worst case, tiny
-//     constants). The router colors irregular window traffic with it.
+//     constants). The router colors irregular window traffic and
+//     partial phases with it.
 //   * euler-split: Gabow's Euler-partition divide and conquer. Pad to
 //     Delta-regular, halve every even-degree range with a
 //     position-paired Euler partition (one linear pass plus one cycle
-//     walk), and peel one perfect matching whenever the degree is odd.
-//     With Delta a power of two it never matches: O(E log Delta). The
-//     router's default for the d-regular H.
-//   * matching-peel: peel Delta perfect matchings with Hopcroft-Karp
-//     (O(Delta * E * sqrt(V))).
-//   * circuit-peel: like euler-split but bottoms out at degree 2,
-//     two-coloring each remaining circuit by alternation.
+//     walk), and peel one perfect matching whenever the degree is odd,
+//     found by the random walk of Goel, Kapralov and Khanna (STOC
+//     2010). With Delta a power of two it never peels: O(E log Delta).
+//     The router's default for the d-regular H.
 //
-// All backends return a coloring with exactly Delta colors for every
-// non-empty input (0 colors for the empty graph).
+// Both backends return a coloring with exactly Delta colors for every
+// non-empty input (0 colors for the empty graph). The walk is seeded
+// from its range alone, so a coloring depends only on its input, never
+// on what the colorer colored before.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "graph/bipartite_multigraph.h"
-#include "graph/hopcroft_karp.h"
 #include "support/thread_annotations.h"
 
 namespace pops {
@@ -34,15 +33,11 @@ namespace pops {
 enum class ColoringAlgorithm {
   kAlternatingPath = 0,
   kEulerSplit = 1,
-  kMatchingPeel = 2,
-  kCircuitPeel = 3,
 };
 
 inline constexpr ColoringAlgorithm kAllColoringAlgorithms[] = {
     ColoringAlgorithm::kAlternatingPath,
     ColoringAlgorithm::kEulerSplit,
-    ColoringAlgorithm::kMatchingPeel,
-    ColoringAlgorithm::kCircuitPeel,
 };
 
 std::string to_string(ColoringAlgorithm algorithm);
@@ -59,13 +54,13 @@ struct EdgeColoring {
 /// are written into caller-provided EdgeColoring storage, whose
 /// capacity is likewise reused across calls.
 ///
-/// Every backend runs on flat scratch. The alternating-path backend
-/// uses vertex-major color-slot tables; the divide-and-conquer
-/// backends (euler-split, matching-peel, circuit-peel) run iteratively
+/// Both backends run on flat scratch. The alternating-path backend
+/// uses vertex-major color-slot tables; euler-split runs iteratively
 /// over index ranges of one padded delta-regular edge array kept sorted
 /// by left vertex. An even-degree range splits in place by pairing
-/// positions; only a matching peel builds a CsrAdjacency view of its
-/// range. No transient BipartiteMultigraph, no per-recursion vectors.
+/// positions, and an odd-degree range peels a perfect matching by a
+/// random walk over the same positions. No transient
+/// BipartiteMultigraph, no adjacency view, no per-recursion vectors.
 ///
 /// Thread-compatible, not thread-safe: the scratch tables make every
 /// call a mutation, so use one colorer per thread (see
@@ -91,7 +86,7 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
 
   /// Sizes every scratch table up front for graphs with at most
   /// `vertices` vertices a side, `edges` edges and maximum degree
-  /// `max_degree`, colored by any backend, and for spreading them onto
+  /// `max_degree`, colored by either backend, and for spreading them onto
   /// at most `vertices` classes. Later calls within those bounds never
   /// grow the colorer, whichever path their input takes through it.
   void reserve(int vertices, int edges, int max_degree);
@@ -126,9 +121,7 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   int peel_matching(int lo, int hi, int color_value, EdgeColoring& out);
   void paint(int lo, int hi, int color_value, EdgeColoring& out) const;
   void color_dnc(const BipartiteMultigraph& graph, int delta,
-                 int bottom_degree, EdgeColoring& out);
-  void color_matching_peel(const BipartiteMultigraph& graph, int delta,
-                           EdgeColoring& out);
+                 EdgeColoring& out);
 
   // Alternating-path scratch. The slot arrays are vertex-major flat
   // tables: slot[vertex * delta + color] is the edge with that color
@@ -154,8 +147,14 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::vector<int> dc_deg_left_;
   std::vector<int> dc_deg_right_;
   std::vector<DncRange> dc_stack_;
-  CsrAdjacency dc_adj_;  // built only for matching peels
-  MatchingKernel dc_matching_;
+  // Matching-peel walk scratch, one entry per padded vertex: the
+  // matched position of each left and each right vertex (relative to
+  // the range start, -1 while free), the walk's positions, and the
+  // step at which the walk reached each right vertex.
+  std::vector<int> dc_match_left_;
+  std::vector<int> dc_match_right_;
+  std::vector<int> dc_walk_;
+  std::vector<int> dc_walk_at_;
 };
 
 /// Properly colors the edges of any bipartite multigraph with

@@ -122,10 +122,10 @@ POPS_TEST(WarmEngineInsideBanIsClean) {
 }
 
 POPS_TEST(ColdEngineInsideBanAbortsForEveryColoringBackend) {
-  // Same seeded violation as above, but routed through each
-  // divide-and-conquer backend: the first call must size the flat
-  // D&C scratch (padded edge array, CSR view, kernel arrays), so a
-  // cold route under an external ban aborts for every backend.
+  // Same seeded violation as above, but routed through each coloring
+  // backend: the first call must size the colorer's flat scratch
+  // (slot tables, or the padded edge array and walk arrays), so a cold
+  // route under an external ban aborts for every backend.
   for (const auto algorithm : kAllColoringAlgorithms) {
     EXPECT_ABORTS_WITH(
         {

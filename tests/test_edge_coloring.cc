@@ -1,7 +1,9 @@
-// Unit coverage for color_edges — every backend on random
-// Delta-regular multigraphs, on the group multigraphs H that routing
-// actually colors, on padded window traffic (validity + exactly Delta
-// colors), and on degenerate shapes (Delta = 1, n = 1, empty graph).
+// Unit coverage for color_edges — both backends on random
+// Delta-regular multigraphs, on odd-degree multigraphs with heavy
+// parallel edges (euler-split's matching peel), on the group
+// multigraphs H that routing actually colors, on padded window traffic
+// (validity + exactly Delta colors), and on degenerate shapes
+// (Delta = 1, n = 1, empty graph, a padded size past int).
 #include "graph/edge_coloring.h"
 
 #include <algorithm>
@@ -24,9 +26,6 @@ POPS_TEST(AlgorithmNames) {
   EXPECT_EQ(to_string(ColoringAlgorithm::kAlternatingPath),
             "alternating-path");
   EXPECT_EQ(to_string(ColoringAlgorithm::kEulerSplit), "euler-split");
-  EXPECT_EQ(to_string(ColoringAlgorithm::kMatchingPeel),
-            "matching-peel");
-  EXPECT_EQ(to_string(ColoringAlgorithm::kCircuitPeel), "circuit-peel");
 }
 
 POPS_TEST(EveryBackendColorsRegularGraphsWithDeltaColors) {
@@ -51,12 +50,15 @@ POPS_TEST(EveryBackendHandlesDegenerateShapes) {
     EXPECT_EQ(none.num_colors, 0);
     EXPECT_TRUE(is_valid_edge_coloring(empty, none));
 
-    // n = 1 with Delta parallel edges: every edge its own color.
-    BipartiteMultigraph bundle(1, 1);
-    for (int k = 0; k < 5; ++k) bundle.add_edge(0, 0);
-    const EdgeColoring rainbow = color_edges(bundle, algorithm);
-    EXPECT_EQ(rainbow.num_colors, 5);
-    EXPECT_TRUE(is_valid_edge_coloring(bundle, rainbow));
+    // n = 1 with Delta parallel edges: every edge its own color. Odd
+    // Delta makes euler-split peel matchings on one vertex a side.
+    for (const int delta : {1, 3, 5, 7, 9, 31}) {
+      BipartiteMultigraph bundle(1, 1);
+      for (int k = 0; k < delta; ++k) bundle.add_edge(0, 0);
+      const EdgeColoring rainbow = color_edges(bundle, algorithm);
+      EXPECT_EQ(rainbow.num_colors, delta);
+      EXPECT_TRUE(is_valid_edge_coloring(bundle, rainbow));
+    }
 
     // Delta = 1 (a partial matching): one color.
     BipartiteMultigraph matching(4, 4);
@@ -66,6 +68,95 @@ POPS_TEST(EveryBackendHandlesDegenerateShapes) {
     EXPECT_EQ(mono.num_colors, 1);
     EXPECT_TRUE(is_valid_edge_coloring(matching, mono));
   }
+}
+
+// A multigraph on n + n vertices with the given edges, in order.
+BipartiteMultigraph multigraph(int n, const std::vector<Edge>& edges) {
+  BipartiteMultigraph g(n, n);
+  for (const Edge& e : edges) g.add_edge(e.left, e.right);
+  return g;
+}
+
+// `copies` parallel copies of one random perfect matching on n + n
+// vertices, each left vertex's copies adjacent.
+std::vector<Edge> repeated_matching(int n, int copies, Rng& rng) {
+  std::vector<int> rights(as_size(n));
+  for (int v = 0; v < n; ++v) rights[as_size(v)] = v;
+  rng.shuffle(rights);
+  std::vector<Edge> edges;
+  for (int u = 0; u < n; ++u) {
+    for (int c = 0; c < copies; ++c) {
+      edges.push_back(Edge{u, rights[as_size(u)]});
+    }
+  }
+  return edges;
+}
+
+POPS_TEST(EveryBackendColorsOddDegreeMultigraphsWithHeavyMultiEdges) {
+  // Odd degrees make euler-split peel a perfect matching. With a
+  // tripled matching in the graph, a matched left vertex keeps parallel
+  // edges to its mate, so the peel's walk often steps straight back
+  // into a right vertex it already reached and must erase that loop.
+  Rng rng(28);
+  for (const auto algorithm : kAllColoringAlgorithms) {
+    for (const int n : {1, 2, 4, 16, 64}) {
+      for (const int copies : {1, 3, 5}) {
+        const BipartiteMultigraph g =
+            multigraph(n, repeated_matching(n, copies, rng));
+        const EdgeColoring coloring = color_edges(g, algorithm);
+        EXPECT_EQ(coloring.num_colors, copies);
+        EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
+      }
+      // A tripled matching plus a random 2-regular multigraph (degree
+      // 5: one peel, then splits), listed both sorted by left vertex
+      // and shuffled.
+      std::vector<Edge> edges = repeated_matching(n, 3, rng);
+      const BipartiteMultigraph cycles = random_regular(n, 2, rng);
+      edges.insert(edges.end(), cycles.edges().begin(),
+                   cycles.edges().end());
+      for (int order = 0; order < 2; ++order) {
+        if (order == 1) rng.shuffle(edges);
+        const BipartiteMultigraph g = multigraph(n, edges);
+        const EdgeColoring coloring = color_edges(g, algorithm);
+        EXPECT_EQ(coloring.num_colors, 5);
+        EXPECT_TRUE(is_valid_edge_coloring(g, coloring));
+      }
+    }
+  }
+}
+
+POPS_TEST(EulerSplitColoringDependsOnlyOnItsInput) {
+  // The matching peel's walk is random, but seeded from its range: a
+  // warm colorer that colored other graphs first must reproduce a fresh
+  // colorer's coloring exactly.
+  Rng rng(29);
+  const BipartiteMultigraph input = random_regular(24, 7, rng);
+  EdgeColoring fresh;
+  EdgeColorer().color(input, ColoringAlgorithm::kEulerSplit, fresh);
+  EXPECT_TRUE(is_valid_edge_coloring(input, fresh));
+
+  EdgeColorer warm;
+  EdgeColoring out;
+  for (const auto& [n, degree] :
+       {std::pair{24, 7}, {40, 5}, {8, 3}, {24, 9}, {3, 3}}) {
+    warm.color(random_regular(n, degree, rng),
+               ColoringAlgorithm::kEulerSplit, out);
+  }
+  warm.color(input, ColoringAlgorithm::kEulerSplit, out);
+  EXPECT_TRUE(out.color == fresh.color);
+  EXPECT_EQ(out.num_colors, fresh.num_colors);
+}
+
+POPS_TEST(EulerSplitRejectsAPaddedSizePastInt) {
+  // delta * max side = 65537 * 65536 does not fit an int: the colorer
+  // must refuse before it sizes any padded array.
+  EXPECT_ABORTS_WITH(
+      {
+        BipartiteMultigraph g(1, 65536);
+        for (int e = 0; e < 65537; ++e) g.add_edge(0, 0);
+        color_edges(g, ColoringAlgorithm::kEulerSplit);
+      },
+      "overflows int");
 }
 
 POPS_TEST(EveryBackendColorsIrregularGraphs) {
@@ -186,8 +277,8 @@ POPS_TEST(EveryBackendColorsMostlyDiagonalPaddedPhases) {
 
 POPS_TEST(EveryBackendColorsPaddedWindowTraffic) {
   // Window traffic of the traffic server's shape: 128 + 128 processors,
-  // about 170 demands, degree capped at h. The divide-and-conquer
-  // backends pad it to h-regular first.
+  // about 170 demands, degree capped at h. Euler-split pads it to
+  // h-regular first.
   Rng rng(27);
   EveryBackend backends;
   const int n = 128;
@@ -221,10 +312,8 @@ POPS_TEST(EveryBackendColorsPaddedWindowTraffic) {
 POPS_TEST(EveryBackendHasFlatScratchAcrossSameShapedGraphs) {
   // The flatness contract: after one warm-up coloring, repeated
   // colorings of same-shaped graphs never grow any colorer-owned
-  // scratch — for ALL four backends, now that the divide-and-conquer
-  // ones run iteratively over the padded flat edge array instead of
-  // building transient subgraphs. Degree 6 runs both divide-and-conquer
-  // steps: Euler splits at degrees 6 and 2, a matching peel at 3.
+  // scratch, for both backends. Degree 6 runs both euler-split steps:
+  // Euler splits at degrees 6 and 2, a matching peel at 3.
   for (const auto algorithm : kAllColoringAlgorithms) {
     Rng rng(31);
     EdgeColorer colorer;

@@ -113,7 +113,7 @@ POPS_TEST(TheoremTwoRoutesPartialPhasesWhenShorter) {
       RouterOptions options;
       options.coloring = algorithm;
       RoutingEngine engine(topo, options);
-      for (int trial = 0; trial < 200; ++trial) {
+      for (int trial = 0; trial < 400; ++trial) {
         const int keep = 25 + rng.next_below(76);  // every packet at 100
         Permutation pi = Permutation::random(n, rng);
         if (trial % 2 == 1) {
