@@ -8,27 +8,17 @@
 // one-engine-per-thread confinement discipline the thread-safety layer
 // (support/mutex.h, POPS_THREAD_COMPATIBLE) was built around: every
 // engine is constructed and warmed up front, workers only ever touch
-// their own engine, and all cross-thread traffic is job pointers.
-// After construction the router itself allocates nothing: the bulk
-// path hands out indices through one atomic counter, the streaming
-// path reuses a bounded ring of job slots, and results are written
-// into caller-provided FlatSchedules (which stop allocating once their
+// their own engine, and all cross-thread traffic is batch indices.
+// After construction the router itself allocates nothing: work is
+// handed out through one atomic counter, and results are copied into
+// caller-provided FlatSchedules (which stop allocating once their
 // arrays are warm).
 //
-// Two ways in:
-//
-//   * route_batch(perms, results, options) — bulk: blocks until every
-//     permutation is routed into its result slot. Workers claim
-//     indices with a single fetch_add, so per-item overhead is tens of
-//     nanoseconds and small topologies still scale.
-//   * submit(&pi, &result, options) / drain() — streaming: submit
-//     enqueues one job (blocking while the ring is full), drain blocks
-//     until everything submitted has completed. The caller keeps the
-//     permutation and result alive until drain() returns.
-//
-// The two paths compose: workers prefer bulk work, then ring jobs.
-// route_batch callers are serialized internally; submit/drain may be
-// called from multiple threads.
+// route_batch(perms, results, options) blocks until every permutation
+// is routed into its result slot. Workers claim indices with a single
+// fetch_add, so per-item overhead is tens of nanoseconds and small
+// topologies still scale. Concurrent route_batch callers are
+// serialized internally.
 #pragma once
 
 #include <atomic>
@@ -47,9 +37,6 @@ namespace pops {
 struct BatchRouterConfig {
   /// Worker (and engine) count. Each worker owns one RoutingEngine.
   int threads = 1;
-  /// Streaming ring capacity: submit() blocks while this many jobs
-  /// are queued and unclaimed.
-  int queue_capacity = 256;
   /// Engine construction options (coloring backend) for every worker.
   RouterOptions engine;
 };
@@ -61,7 +48,7 @@ class BatchRouter {
   /// simulator), then starts the workers. All allocation happens here.
   explicit BatchRouter(const Topology& topo,
                        const BatchRouterConfig& config = {});
-  /// Completes every queued job, then stops and joins the workers.
+  /// Stops and joins the workers.
   ~BatchRouter();
   BatchRouter(const BatchRouter&) = delete;
   BatchRouter& operator=(const BatchRouter&) = delete;
@@ -77,36 +64,18 @@ class BatchRouter {
                    const RouteOptions& options = {})
       POPS_EXCLUDES(mu_, client_mu_);
 
-  /// Enqueues one job; blocks while the ring is full. `pi` and
-  /// `result` must stay alive (and untouched) until drain() returns.
-  void submit(const Permutation* pi, FlatSchedule* result,
-              const RouteOptions& options = {}) POPS_EXCLUDES(mu_);
-
-  /// Blocks until every submitted job has completed.
-  void drain() POPS_EXCLUDES(mu_);
-
   int thread_count() const { return as_int(workers_.size()); }
   const Topology& topology() const { return topo_; }
 
-  /// Sum of every worker engine's scratch footprint plus the ring
-  /// capacity. Call only while idle (after drain() / route_batch()):
-  /// the engines belong to the workers while work is in flight.
-  ScratchFootprint scratch_footprint() const POPS_EXCLUDES(mu_);
+  /// Sum of every worker engine's scratch footprint. Call only while
+  /// idle (between route_batch calls): the engines belong to the
+  /// workers while a batch is in flight.
+  ScratchFootprint scratch_footprint() const;
 
  private:
-  struct Job {
-    const Permutation* pi = nullptr;
-    FlatSchedule* out = nullptr;
-    RouteOptions options;
-  };
-
   void worker_loop(int id);
-  /// In-place copy into the caller's slot: clear + begin_slot + push,
-  /// so a warm destination never reallocates.
-  static void copy_schedule(const FlatSchedule& from, FlatSchedule* to);
-  /// Bulk work is pending: claimable indices remain. The atomics make
-  /// this safe to evaluate anywhere; the wait loops evaluate it under
-  /// mu_.
+  /// Work is pending: claimable indices remain. The atomics make this
+  /// safe to evaluate anywhere; the wait loop evaluates it under mu_.
   bool has_batch_work() const {
     return batch_next_.load(std::memory_order_relaxed) <
            batch_count_.load(std::memory_order_relaxed);
@@ -116,16 +85,14 @@ class BatchRouter {
   std::vector<RoutingEngine> engines_;  // index == worker id
   std::vector<std::thread> workers_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   /// Serializes route_batch callers (never held together with mu_
   /// except briefly inside route_batch itself).
   Mutex client_mu_;
-  CondVar cv_work_;   // workers wait for jobs / a batch / stop
-  CondVar cv_space_;  // submitters wait for ring space
-  CondVar cv_done_;   // route_batch and drain wait for completion
+  CondVar cv_work_;  // workers wait for a batch / stop
+  CondVar cv_done_;  // route_batch waits for completion
   bool stopping_ POPS_GUARDED_BY(mu_) = false;
 
-  // --- Bulk path -----------------------------------------------------
   // The caller's arrays and options are published by plain writes made
   // under mu_ before the workers are woken (the mutex hand-off orders
   // them); the atomics then carry index claims and completions without
@@ -139,13 +106,6 @@ class BatchRouter {
   std::atomic<int> batch_next_{0};
   std::atomic<int> batch_done_{0};
   int batch_workers_ POPS_GUARDED_BY(mu_) = 0;
-
-  // --- Streaming ring (bounded, mutex-guarded) -----------------------
-  std::vector<Job> ring_ POPS_GUARDED_BY(mu_);
-  int ring_head_ POPS_GUARDED_BY(mu_) = 0;
-  int ring_size_ POPS_GUARDED_BY(mu_) = 0;
-  long long submitted_ POPS_GUARDED_BY(mu_) = 0;
-  long long completed_ POPS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace pops

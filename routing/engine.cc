@@ -22,8 +22,7 @@ RoutingEngine::RoutingEngine(const Topology& topo,
                              const RouterOptions& options)
     : topo_(topo),
       options_(options),
-      h_(topo.g(), topo.g()),
-      h_q_(topo.g(), topo.g()) {
+      h_(topo.g(), topo.g()) {
   const int n = topo_.processor_count();
   // A schedule holds up to two transmissions per packet, counted in
   // ints.
@@ -31,12 +30,9 @@ RoutingEngine::RoutingEngine(const Topology& topo,
              "RoutingEngine: POPS(d, g) needs 2 * d * g to fit an int");
   // Pre-size everything whose final size is known from (d, g) alone,
   // so even the first route call grows as little as possible and the
-  // steady state cannot grow at all. A batch H_q takes at most g of
-  // H's d colors, so it has at most g * min(d, g) edges.
-  const int batch_edges = topo_.g() * std::min(topo_.d(), topo_.g());
+  // steady state cannot grow at all.
   intermediate_of_.assign(as_size(n), -1);
-  packet_of_edge_.reserve(as_size(batch_edges));
-  fair_.color.reserve(as_size(batch_edges));
+  batch_packets_.reserve(as_size(n));
   used_of_group_.reserve(as_size(topo_.g()));
   theorem2_schedule_.reserve(2 * n, theorem2_slots(topo_));
   // Direct schedules: n transmissions over at most d slots.
@@ -240,58 +236,48 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
                      ? options_.coloring
                      : ColoringAlgorithm::kAlternatingPath,
                  coloring_);
-  const int delta = coloring_.num_colors;
-  POPS_CHECK(delta <= d, "Theorem 2: H must be d-edge-colorable");
+  POPS_CHECK(coloring_.num_colors <= d,
+             "Theorem 2: H must be d-edge-colorable");
+
+  // Fair distribution. Batch q takes the classes [q * g, q * g + g),
+  // and class c names intermediate group c - q * g; properness gives
+  // the two distinctness properties. Each color of H is a matching of
+  // at most g packets, so when g <= d the colors themselves fit the d
+  // receivers of a group. When g > d there is one batch (Delta <= d <
+  // g), and H's coloring, spread balanced onto g classes, puts at most
+  // ceil(count / g) <= d packets on each.
+  if (g > d) colorer_.spread(h_, g, coloring_);
+  const int classes = coloring_.num_colors;
   const int* color = coloring_.color.data();
-
-  const int batches = (delta + g - 1) / g;
-  for (int q = 0; q < batches; ++q) {
-    const int color_lo = q * g;
-    const int color_hi = std::min((q + 1) * g, delta);
-
-    // H_q: the packets whose H-color falls in this batch. Every group
-    // has at most one edge per color, so H's coloring restricted to the
-    // batch and shifted down by color_lo is already a proper coloring
-    // of H_q with at most g colors.
-    h_q_.reset(g, g);
-    packet_of_edge_.clear();
-    fair_.color.clear();
-    fair_.num_colors = color_hi - color_lo;
+  batch_packets_.resize(as_size(count));
+  int* batch = batch_packets_.data();
+  int* intermediate = intermediate_of_.data();
+  for (int lo = 0; lo < classes; lo += g) {
+    // The batch's packets in list order. Every index is written, and
+    // the batch grows past it only when its class lies in [lo, lo + g):
+    // a branch would mispredict throughout a multi-batch route.
+    int size = 0;
     for (int i = 0; i < count; ++i) {
-      const int c = color[i];
-      if (c < color_lo || c >= color_hi) continue;
-      h_q_.add_edge(topo_.group_of(packet[i].source),
-                    topo_.group_of(packet[i].destination));
-      packet_of_edge_.push_back(i);
-      fair_.color.push_back(c - color_lo);
+      batch[size] = i;
+      size += static_cast<int>(static_cast<unsigned>(color[i] - lo) <
+                               static_cast<unsigned>(g));
     }
-
-    // Fair distribution: that coloring balanced onto g classes.
-    // Properness gives the two distinctness properties. Each color is
-    // a matching of at most g edges, so a balanced class holds at most
-    // color_hi - color_lo <= Delta <= d edges: the receiver capacity
-    // of an intermediate group.
-    colorer_.spread(h_q_, g, fair_);
-
     used_of_group_.assign(as_size(g), 0);
-    const int edges = h_q_.edge_count();
-    const int* packet_of_edge = packet_of_edge_.data();
-    const int* mid_group = fair_.color.data();
     int* used = used_of_group_.data();
-    int* intermediate = intermediate_of_.data();
     out.begin_slot();  // distribute: slot 2q
-    for (int e = 0; e < edges; ++e) {
-      const Transmission& p = packet[packet_of_edge[e]];
-      const int mid_index = used[mid_group[e]]++;
+    for (int k = 0; k < size; ++k) {
+      const Transmission& p = packet[batch[k]];
+      const int mid_group = color[batch[k]] - lo;
+      const int mid_index = used[mid_group]++;
       POPS_CHECK(mid_index < d,
                  "fair distribution overfilled an intermediate group");
-      const int mid = topo_.processor(mid_group[e], mid_index);
+      const int mid = topo_.processor(mid_group, mid_index);
       intermediate[p.source] = mid;
       out.push(Transmission{p.source, mid, p.packet});
     }
     out.begin_slot();  // deliver: slot 2q + 1
-    for (int e = 0; e < edges; ++e) {
-      const Transmission& p = packet[packet_of_edge[e]];
+    for (int k = 0; k < size; ++k) {
+      const Transmission& p = packet[batch[k]];
       out.push(Transmission{intermediate[p.source], p.destination, p.packet});
     }
   }
@@ -351,13 +337,11 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   const int count = requests.count();
   if (!phase_arenas_sized_) {
     // A phase builds H (g vertices a side, at most n edges, degree at
-    // most d) and its batches, colors H with the configured backend or
-    // with alternating path by its size, and spreads each batch onto g
-    // classes. Sizing all of that from (d, g) up front keeps the
-    // schedule a phase takes from deciding whether a later relation
-    // allocates.
+    // most d), colors it with the configured backend or with
+    // alternating path by its size, and spreads it onto g classes when
+    // g > d. Sizing all of that from (d, g) up front keeps the schedule
+    // a phase takes from deciding whether a later relation allocates.
     h_.reserve_edges(n);
-    h_q_.reserve_edges(g * std::min(d, g));
     coloring_.color.reserve(as_size(n));
     colorer_.reserve(g, n, d);
     phase_arenas_sized_ = true;
@@ -464,9 +448,8 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
   ScratchFootprint footprint;
   footprint.units =
       packets_.capacity() + group_load_.capacity() + h_.scratch_capacity() +
-      h_q_.scratch_capacity() + colorer_.scratch_capacity() +
-      coloring_.color.capacity() + fair_.color.capacity() +
-      packet_of_edge_.capacity() + used_of_group_.capacity() +
+      colorer_.scratch_capacity() + coloring_.color.capacity() +
+      batch_packets_.capacity() + used_of_group_.capacity() +
       intermediate_of_.capacity() +
       theorem2_schedule_.transmission_capacity() +
       theorem2_schedule_.slot_capacity() + coupler_count_.capacity() +

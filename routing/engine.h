@@ -19,23 +19,26 @@
 // packet: all n packets named by source for a permutation, or one
 // phase's requests named by request id for an h-relation.
 //
-// Mei & Rizzi's Theorem 2 needs only a proper, balanced coloring of
-// the group multigraph H (one edge per packet, source group to
-// destination group). Take a partial permutation whose busiest group
-// sends or receives Delta packets and color H with Delta colors; each
-// batch of g colors, spread onto g classes, puts at most Delta <= d
-// packets on each intermediate group and takes two slots. So the
-// schedule has 2 * ceil(Delta / g) slots (one when d == 1), which is
+// Mei & Rizzi's Theorem 2 needs only a proper coloring of the group
+// multigraph H (one edge per packet, source group to destination
+// group) whose classes hold at most d packets each. Take a partial
+// permutation whose busiest group sends or receives Delta packets and
+// color H with Delta colors. A color is a matching of at most g
+// packets, so when g <= d each batch of g colors takes two slots and a
+// color names its batch and its intermediate group directly. When
+// g > d, Delta < g makes one batch, and H's coloring is spread onto g
+// balanced classes, at most d packets each. So the schedule has
+// 2 * ceil(Delta / g) slots (one when d == 1), which is
 // theorem2_slots(topology()) for a permutation. A permutation's H is
 // d-regular and sorted by source group, which suits the configured
 // backend (by default euler-split, graph/edge_coloring.h); a smaller
 // packet list makes H irregular, and alternating path colors it.
 //
 // The engine owns every intermediate object — the packet list, the
-// packet multigraphs, the edge colorings, the fair-distribution
-// scratch, the coupler queues of the direct router, the verification
-// Network of the portfolio, and the emitted FlatSchedules — and
-// rebuilds them in place per route. Routing a permutation performs no
+// packet multigraphs, the edge colorings, the batch list, the coupler
+// queues of the direct router, the verification Network of the
+// portfolio, and the emitted FlatSchedules — and rebuilds them in
+// place per route. Routing a permutation performs no
 // heap allocation after one warm-up call per strategy (asserted by
 // tests that compare scratch_footprint() across calls) with every
 // coloring backend.
@@ -240,13 +243,13 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::vector<int> group_load_;        // sends per group, then receives
 
   // --- Theorem 2 scratch ---
-  BipartiteMultigraph h_;    // the packet multigraph H (g x g)
-  BipartiteMultigraph h_q_;  // one batch H_q (g x g)
+  BipartiteMultigraph h_;  // the packet multigraph H (g x g)
   EdgeColorer colorer_;
-  EdgeColoring coloring_;  // Delta-coloring of H, by packet index
-  EdgeColoring fair_;      // fair distribution of one batch
-  std::vector<int> packet_of_edge_;  // H_q edge id -> packet index
-  std::vector<int> used_of_group_;   // intermediates taken per group
+  // H's coloring by packet index: Delta colors, or g classes once
+  // spread (g > d).
+  EdgeColoring coloring_;
+  std::vector<int> batch_packets_;  // one batch's packet indices
+  std::vector<int> used_of_group_;  // intermediates taken per group
   std::vector<int> intermediate_of_;  // by source processor
   FlatSchedule theorem2_schedule_;
   // Bijectivity check of the Span overload: seen[v] is valid only when

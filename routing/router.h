@@ -7,20 +7,21 @@
 //   1. Build the d-regular bipartite multigraph H on the g source
 //      groups and g destination groups with one edge per packet, and
 //      properly edge-color it with d colors (Remark 1 / König).
-//   2. Bundle the colors into ceil(d / g) batches of at most g colors.
-//      The edges of one batch form a Delta_q-regular multigraph H_q
-//      with Delta_q <= g, and H's coloring restricted to the batch is
-//      already a proper Delta_q-coloring of H_q. Spreading it onto g
-//      balanced classes (the "fair distribution") names an
-//      intermediate group for every packet such that, per batch, (a)
-//      the packets of one source group use distinct intermediate
-//      groups and (b) the packets relayed by one intermediate group
-//      use distinct destination groups.
+//   2. Name an intermediate group for every packet (the "fair
+//      distribution") such that, per batch, (a) the packets of one
+//      source group use distinct intermediate groups and (b) the
+//      packets relayed by one intermediate group use distinct
+//      destination groups, with at most d packets per group. A color
+//      is a matching of g packets, so when g <= d the colors bundle
+//      into ceil(d / g) batches of g, and color c of batch q names
+//      intermediate group c - q * g. When g > d there is one batch,
+//      and H's coloring is spread onto g balanced classes of d
+//      packets, each naming a group. Properness gives (a) and (b).
 //   3. Batch q then takes exactly two slots: slot 2q ships every
 //      packet of the batch to a private processor of its intermediate
 //      group, slot 2q+1 forwards it to its true destination. All
 //      coupler, transmitter and receiver constraints hold by (a), (b)
-//      and the properness of the colorings.
+//      and the properness of the coloring.
 //
 // RoutingEngine (routing/engine.h) is the only code that turns
 // traffic into a schedule. One-shot callers use the single entry point

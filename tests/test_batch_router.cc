@@ -1,11 +1,10 @@
 // BatchRouter contract tests: batch output must be bitwise identical
 // to routing the same permutations sequentially on one engine (for
-// every strategy, with and without verification, at one and several
-// threads), the streaming submit/drain path must complete everything,
-// and the pool's scratch footprint must stay flat across a soak —
-// the no-allocation-after-construction claim, checked both by
-// footprint diff and by the per-engine allocation bans in
-// POPS_ALLOC_GUARD builds.
+// every coloring backend and strategy, with and without verification,
+// at one and several threads), and the pool's scratch footprint must
+// stay flat across a soak — the no-allocation-after-construction
+// claim, checked both by footprint diff and by the per-engine
+// allocation bans in POPS_ALLOC_GUARD builds.
 #include <vector>
 
 #include "perm/families.h"
@@ -39,71 +38,51 @@ bool identical(const FlatSchedule& a, const FlatSchedule& b) {
 POPS_TEST(BatchMatchesSequentialEngineAcrossStrategies) {
   Rng rng(81);
   // Odd d makes euler-split peel matchings with its seeded random walk.
-  for (const auto& [d, g] :
-       {std::pair{1, 4}, {4, 4}, {8, 3}, {3, 4}, {5, 3}}) {
+  // 7/4 and 5/2 leave a last batch of fewer than g colors, and 3/8
+  // spreads H onto more classes than it has colors.
+  for (const auto& [d, g] : {std::pair{1, 4}, {4, 4}, {8, 3}, {3, 4},
+                             {5, 3}, {7, 4}, {5, 2}, {3, 8}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     std::vector<Permutation> perms;
     for (int i = 0; i < 12; ++i) {
       perms.push_back(Permutation::random(n, rng));
     }
-    // The construction is deterministic for a fixed engine
-    // configuration, so every worker's engine — and this sequential
-    // reference — must emit the exact same transmissions.
-    RoutingEngine sequential(topo);
-    for (const int threads : {1, 3}) {
-      BatchRouterConfig config;
-      config.threads = threads;
-      BatchRouter router(topo, config);
-      EXPECT_EQ(router.thread_count(), threads);
-      EXPECT_EQ(router.topology().processor_count(), n);
-      for (const RouteStrategy strategy :
-           {RouteStrategy::kDirect, RouteStrategy::kTheorem2,
-            RouteStrategy::kBest}) {
-        for (const bool verify : {false, true}) {
-          RouteOptions options;
-          options.strategy = strategy;
-          options.verify = verify;
-          std::vector<FlatSchedule> results(perms.size());
-          router.route_batch(perms, results, options);
-          for (std::size_t i = 0; i < perms.size(); ++i) {
-            const FlatSchedule& expected =
-                sequential.route(perms[i], options);
-            EXPECT_TRUE(identical(results[i], expected));
-            EXPECT_TRUE(verify_schedule(topo, perms[i], results[i]).ok);
+    for (const auto algorithm : kAllColoringAlgorithms) {
+      // The construction is deterministic for a fixed engine
+      // configuration, so every worker's engine — and this sequential
+      // reference on the same backend — must emit the exact same
+      // transmissions.
+      RouterOptions engine_options;
+      engine_options.coloring = algorithm;
+      RoutingEngine sequential(topo, engine_options);
+      for (const int threads : {1, 2, 4}) {
+        BatchRouterConfig config;
+        config.threads = threads;
+        config.engine = engine_options;
+        BatchRouter router(topo, config);
+        EXPECT_EQ(router.thread_count(), threads);
+        EXPECT_EQ(router.topology().processor_count(), n);
+        for (const RouteStrategy strategy :
+             {RouteStrategy::kDirect, RouteStrategy::kTheorem2,
+              RouteStrategy::kBest}) {
+          for (const bool verify : {false, true}) {
+            RouteOptions options;
+            options.strategy = strategy;
+            options.verify = verify;
+            std::vector<FlatSchedule> results(perms.size());
+            router.route_batch(perms, results, options);
+            for (std::size_t i = 0; i < perms.size(); ++i) {
+              const FlatSchedule& expected =
+                  sequential.route(perms[i], options);
+              EXPECT_TRUE(identical(results[i], expected));
+              EXPECT_TRUE(verify_schedule(topo, perms[i], results[i]).ok);
+            }
           }
         }
       }
     }
   }
-}
-
-POPS_TEST(StreamingSubmitDrainMatchesSequential) {
-  Rng rng(82);
-  const Topology topo(4, 4);
-  const int n = topo.processor_count();
-  std::vector<Permutation> perms;
-  for (int i = 0; i < 20; ++i) {
-    perms.push_back(Permutation::random(n, rng));
-  }
-  std::vector<FlatSchedule> results(perms.size());
-  BatchRouterConfig config;
-  config.threads = 2;
-  // Deliberately smaller than the job count so submit() exercises its
-  // ring-full blocking path.
-  config.queue_capacity = 3;
-  BatchRouter router(topo, config);
-  const RouteOptions options{RouteStrategy::kTheorem2};
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    router.submit(&perms[i], &results[i], options);
-  }
-  router.drain();
-  RoutingEngine sequential(topo);
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    EXPECT_TRUE(identical(results[i], sequential.route(perms[i], options)));
-  }
-  // drain() with nothing outstanding returns immediately.
-  router.drain();
 }
 
 POPS_TEST(MoreThreadsThanJobs) {
@@ -130,7 +109,6 @@ POPS_TEST(EmptyBatchIsANoOp) {
   std::vector<Permutation> no_perms;
   std::vector<FlatSchedule> no_results;
   router.route_batch(no_perms, no_results);
-  router.drain();
 }
 
 POPS_TEST(BackToBackBatchesReuseTheSamePool) {
@@ -166,16 +144,11 @@ POPS_TEST(FootprintStaysFlatAcrossSoak) {
   std::vector<FlatSchedule> results(perms.size());
   BatchRouterConfig config;
   config.threads = 2;
-  config.queue_capacity = 4;
   BatchRouter router(topo, config);
   const RouteOptions options{RouteStrategy::kBest};
-  // One warm pass per path grows the caller-owned result slots to
-  // their steady-state shapes; after that, nothing grows anywhere.
+  // One warm pass grows the caller-owned result slots to their
+  // steady-state shapes; after that, nothing grows anywhere.
   router.route_batch(perms, results, options);
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    router.submit(&perms[i], &results[i], options);
-  }
-  router.drain();
   const ScratchFootprint warm = router.scratch_footprint();
   EXPECT_TRUE(warm.units > 0);
   const auto result_capacity = [&results] {
@@ -189,11 +162,6 @@ POPS_TEST(FootprintStaysFlatAcrossSoak) {
   const std::size_t warm_results = result_capacity();
   for (int round = 0; round < 6; ++round) {
     router.route_batch(perms, results, options);
-    EXPECT_EQ(router.scratch_footprint(), warm);
-    for (std::size_t i = 0; i < perms.size(); ++i) {
-      router.submit(&perms[i], &results[i], options);
-    }
-    router.drain();
     EXPECT_EQ(router.scratch_footprint(), warm);
     EXPECT_EQ(result_capacity(), warm_results);
   }

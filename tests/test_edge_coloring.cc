@@ -390,9 +390,9 @@ POPS_TEST(SpreadColorsBalancesClassSizes) {
     EXPECT_TRUE(*largest - *smallest <= 1);
   }
 
-  // The router's input: on POPS(5, 3), H's 5-coloring restricted to
-  // the last batch [3, 5) and shifted down is a proper 2-coloring of
-  // H_q; spread onto g = 3 classes, each holds exactly Delta_q = 2.
+  // A restricted coloring: on POPS(5, 3), H's 5-coloring restricted
+  // to the colors [3, 5) and shifted down is a proper 2-coloring of
+  // that subgraph; spread onto 3 classes, each holds exactly 2 edges.
   for (const auto algorithm : kAllColoringAlgorithms) {
     const BipartiteMultigraph h = random_regular(3, 5, rng);
     const EdgeColoring full = color_edges(h, algorithm);

@@ -114,7 +114,10 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
 
 POPS_TEST(EngineIntermediatesAreConsistent) {
   Rng rng(75);
-  for (const auto& [d, g] : {std::pair{4, 3}, {1, 8}, {8, 8}}) {
+  // 8/3 and 5/2 end on a batch of fewer than g colors, which keeps
+  // H's colors as its groups; 3/8 spreads H onto g classes.
+  for (const auto& [d, g] : {std::pair{4, 3}, {1, 8}, {8, 8}, {8, 3},
+                             {5, 2}, {3, 8}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     const Permutation pi = Permutation::random(n, rng);
@@ -123,14 +126,31 @@ POPS_TEST(EngineIntermediatesAreConsistent) {
     const Span<const int> mids = engine.intermediate_of();
     EXPECT_EQ(mids.size(), as_size(n));
     for (const int mid : mids) EXPECT_TRUE(mid >= 0 && mid < n);
-    // In every distribute slot (the first of each batch pair), the
-    // receivers are distinct and are exactly the intermediates.
+    // The group pair (from, to) of a transmission, as one index.
+    const auto group_pair = [&topo, g = g](const Transmission& t) {
+      return as_size(topo.group_of(t.source) * g +
+                     topo.group_of(t.destination));
+    };
     for (int slot = 0; slot + 1 < flat.slot_count(); slot += 2) {
+      // Distribute: the receivers are distinct and are exactly the
+      // intermediates, and the packets of one source group go to
+      // distinct intermediate groups (Figure 3).
       std::vector<bool> used(as_size(n), false);
+      std::vector<bool> source_to_mid(as_size(g * g), false);
       for (const Transmission& t : flat.slot(slot)) {
         EXPECT_FALSE(used[as_size(t.destination)]);
         used[as_size(t.destination)] = true;
         EXPECT_EQ(mids[as_size(t.packet)], t.destination);
+        EXPECT_FALSE(source_to_mid[group_pair(t)]);
+        source_to_mid[group_pair(t)] = true;
+      }
+      // Deliver: each packet leaves its intermediate, and the packets
+      // of one intermediate group go to distinct destination groups.
+      std::vector<bool> mid_to_destination(as_size(g * g), false);
+      for (const Transmission& t : flat.slot(slot + 1)) {
+        EXPECT_EQ(mids[as_size(t.packet)], t.source);
+        EXPECT_FALSE(mid_to_destination[group_pair(t)]);
+        mid_to_destination[group_pair(t)] = true;
       }
     }
   }

@@ -4,9 +4,10 @@
 // processors, every coloring backend must meet the slot formulas
 // exactly, and both candidate schedules must deliver on the strict
 // simulator. Enumerating every permutation feeds every packet
-// multigraph H of these shapes through both halves of the fair
-// distribution: the split into empty classes (d < g, e.g. 2/3 and 2/4)
-// and the restricted colorings of multi-batch shapes (3/2, 4/2).
+// multigraph H of these shapes through both ways the engine names
+// intermediate groups: H spread onto g classes when d < g (2/3, 2/4,
+// including the split into empty classes), and H's colors read
+// directly as groups in multi-batch shapes (3/2, 4/2).
 //
 // For every POPS(d, g) with n <= 6 and every partial permutation of its
 // processors, route_h_relation must route the one phase at its exact
