@@ -56,8 +56,6 @@ class Topology {
 
   int d() const { return d_; }
   int g() const { return g_; }
-  int group_size() const { return d_; }
-  int group_count() const { return g_; }
   int processor_count() const { return d_ * g_; }
   int coupler_count() const { return g_ * g_; }
 

@@ -12,8 +12,8 @@ Permutation group_reversal(const Topology& topo) {
   const int n = topo.processor_count();
   std::vector<int> images(as_size(n));
   for (int p = 0; p < n; ++p) {
-    images[as_size(p)] = topo.processor(
-        topo.group_count() - 1 - topo.group_of(p), topo.index_in_group(p));
+    images[as_size(p)] = topo.processor(topo.g() - 1 - topo.group_of(p),
+                                        topo.index_in_group(p));
   }
   return Permutation(std::move(images));
 }
@@ -38,8 +38,7 @@ Permutation transpose(const Topology& topo) {
   const int n = topo.processor_count();
   std::vector<int> images(as_size(n));
   for (int p = 0; p < n; ++p) {
-    images[as_size(p)] =
-        topo.index_in_group(p) * topo.group_count() + topo.group_of(p);
+    images[as_size(p)] = topo.index_in_group(p) * topo.g() + topo.group_of(p);
   }
   return Permutation(std::move(images));
 }
@@ -110,9 +109,9 @@ ArrivalGenerator::ArrivalGenerator(const Topology& topo,
                "ArrivalConfig: zipf_exponent must be positive");
     // Cumulative (r+1)^-s weights over the g destination-group ranks,
     // normalized to end at 1. Built once; next() only binary-searches.
-    zipf_cdf_.resize(as_size(topo_.group_count()));
+    zipf_cdf_.resize(as_size(topo_.g()));
     double total = 0;
-    for (int r = 0; r < topo_.group_count(); ++r) {
+    for (int r = 0; r < topo_.g(); ++r) {
       total += 1.0 / std::pow(static_cast<double>(r + 1),
                               config_.zipf_exponent);
       zipf_cdf_[as_size(r)] = total;
@@ -143,7 +142,7 @@ int ArrivalGenerator::draw_destination(int source) {
         std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
     const int group = std::min(
         as_int(static_cast<std::size_t>(it - zipf_cdf_.begin())),
-        topo_.group_count() - 1);
+        topo_.g() - 1);
     destination = topo_.processor(group, rng_.next_below(topo_.d()));
   } else {
     destination = rng_.next_below(n);

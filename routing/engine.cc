@@ -9,10 +9,6 @@
 
 namespace pops {
 
-std::string to_string(const ScratchFootprint& footprint) {
-  return str_cat(footprint.units, " units");
-}
-
 std::ostream& operator<<(std::ostream& os,
                          const ScratchFootprint& footprint) {
   return os << footprint.units << " units";
@@ -34,9 +30,9 @@ RoutingEngine::RoutingEngine(const Topology& topo,
   intermediate_of_.assign(as_size(n), -1);
   batch_packets_.reserve(as_size(n));
   used_of_group_.reserve(as_size(topo_.g()));
-  theorem2_schedule_.reserve(2 * n, theorem2_slots(topo_));
-  // Direct schedules: n transmissions over at most d slots.
-  direct_schedule_.reserve(n, topo_.d());
+  // Theorem 2 sends every packet twice; a direct schedule sends it
+  // once, and one coupler carries at most the d packets of one group.
+  schedule_.reserve(2 * n, std::max(theorem2_slots(topo_), topo_.d()));
   coupler_count_.reserve(as_size(topo_.coupler_count()));
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
@@ -45,48 +41,29 @@ RoutingEngine::RoutingEngine(const Topology& topo,
 
 const FlatSchedule& RoutingEngine::route(const Permutation& pi,
                                          const RouteOptions& options) {
-  switch (options.strategy) {
-    case RouteStrategy::kDirect: {
-      const FlatSchedule& schedule = route_direct(pi);
-      last_strategy_ = RouteStrategy::kDirect;
-      if (options.verify) verify_or_abort(schedule, pi, "direct");
-      return schedule;
-    }
-    case RouteStrategy::kTheorem2: {
-      const FlatSchedule& schedule = route_permutation(pi);
-      last_strategy_ = RouteStrategy::kTheorem2;
-      if (options.verify) verify_or_abort(schedule, pi, "theorem2");
-      return schedule;
-    }
-    case RouteStrategy::kBest:
-      // route_best executes both candidates on the internal simulator
-      // unconditionally and records the winner, so options.verify adds
-      // nothing here.
-      return route_best(pi);
-  }
-  POPS_CHECK(false, "route: unknown RouteStrategy");
-  return theorem2_schedule_;  // unreachable
-}
-
-void RoutingEngine::verify_or_abort(const FlatSchedule& schedule,
-                                    const Permutation& pi,
-                                    const char* what) {
-  if (delivers(schedule, pi)) return;
-  // Cold failure path: composing the diagnostic allocates, and the
-  // abort must name the broken schedule, not trip the guard.
-  ScopedAllocationAllow allow;
-  POPS_CHECK(false, str_cat("route: ", what,
-                            " schedule failed verification: ",
-                            verification_failure()));
+  const RouteStrategy strategy = options.strategy;
+  POPS_CHECK(strategy == RouteStrategy::kDirect ||
+                 strategy == RouteStrategy::kTheorem2 ||
+                 strategy == RouteStrategy::kBest,
+             "route: unknown RouteStrategy");
+  const bool verify = options.verify || strategy == RouteStrategy::kBest;
+  // kDirect never runs the Theorem 2 builder, and kTheorem2 never runs
+  // the direct one; kBest may run either.
+  ScopedAllocationBan ban(
+      "RoutingEngine::route",
+      (strategy == RouteStrategy::kDirect || warm_theorem2_) &&
+          (strategy == RouteStrategy::kTheorem2 || warm_direct_) &&
+          (!verify || warm_verify_));
+  // The Permutation constructor already validated bijectivity.
+  load_permutation(Span<const int>(pi.images()));
+  emit_permutation(strategy);
+  if (verify) verify_or_abort(pi);
+  return schedule_;
 }
 
 const FlatSchedule& RoutingEngine::route_permutation(
     const Permutation& pi) {
-  ScopedAllocationBan ban("RoutingEngine::route_permutation", warm_theorem2_);
-  // The Permutation constructor already validated bijectivity.
-  load_permutation(Span<const int>(pi.images()));
-  rebuild_theorem2();
-  return theorem2_schedule_;
+  return route(pi, {RouteStrategy::kTheorem2});
 }
 
 const FlatSchedule& RoutingEngine::route_permutation(
@@ -105,8 +82,12 @@ const FlatSchedule& RoutingEngine::route_permutation(
     image_seen_stamp_[as_size(v)] = image_epoch_;
   }
   load_permutation(images);
-  rebuild_theorem2();
-  return theorem2_schedule_;
+  emit_permutation(RouteStrategy::kTheorem2);
+  return schedule_;
+}
+
+const FlatSchedule& RoutingEngine::route_direct(const Permutation& pi) {
+  return route(pi, {RouteStrategy::kDirect});
 }
 
 void RoutingEngine::load_permutation(Span<const int> images) {
@@ -121,19 +102,36 @@ void RoutingEngine::load_permutation(Span<const int> images) {
   }
 }
 
-void RoutingEngine::rebuild_theorem2() {
-  theorem2_schedule_.clear();
-  build_theorem2(packets_, theorem2_schedule_);
-  POPS_CHECK(theorem2_schedule_.slot_count() == theorem2_slots(topo_),
+void RoutingEngine::emit_permutation(RouteStrategy strategy) {
+  schedule_.clear();
+  last_strategy_ = emit(packets_, strategy, schedule_, direct_max_demand_);
+  if (last_strategy_ == RouteStrategy::kDirect) {
+    warm_direct_ = true;
+    return;
+  }
+  POPS_CHECK(schedule_.slot_count() == theorem2_slots(topo_),
              "Theorem 2 schedule has the wrong number of slots");
   warm_theorem2_ = true;
 }
 
-void RoutingEngine::rebuild_direct() {
-  direct_max_demand_ = measure(packets_).max_demand;
-  direct_schedule_.clear();
-  build_direct(packets_, direct_max_demand_, direct_schedule_);
-  warm_direct_ = true;
+RouteStrategy RoutingEngine::emit(Span<const Transmission> packets,
+                                  RouteStrategy strategy, FlatSchedule& out,
+                                  int& max_demand) {
+  if (strategy != RouteStrategy::kTheorem2) {
+    const Load load = measure(packets);
+    max_demand = load.max_demand;
+    const int g = topo_.g();
+    const int theorem2 =
+        topo_.d() == 1 ? 1 : 2 * ((load.group_degree + g - 1) / g);
+    // Direct wins ties: same length, one hop per packet and no relay
+    // buffering.
+    if (strategy == RouteStrategy::kDirect || max_demand <= theorem2) {
+      build_direct(packets, max_demand, out);
+      return RouteStrategy::kDirect;
+    }
+  }
+  build_theorem2(packets, out);
+  return RouteStrategy::kTheorem2;
 }
 
 RoutingEngine::Load RoutingEngine::measure(
@@ -283,47 +281,6 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
   }
 }
 
-const FlatSchedule& RoutingEngine::route_direct(const Permutation& pi) {
-  // The direct builder never colors, so it is eligible regardless of
-  // the configured coloring backend.
-  ScopedAllocationBan ban("RoutingEngine::route_direct", warm_direct_);
-  load_permutation(Span<const int>(pi.images()));
-  rebuild_direct();
-  return direct_schedule_;
-}
-
-const FlatSchedule& RoutingEngine::route_best(const Permutation& pi) {
-  ScopedAllocationBan ban("RoutingEngine::route_best",
-                          warm_direct_ && warm_theorem2_ && warm_verify_);
-  load_permutation(Span<const int>(pi.images()));
-  rebuild_direct();
-  if (!delivers(direct_schedule_, pi)) {
-    // Cold failure path: composing the diagnostic allocates, and the
-    // abort must name the broken schedule, not trip the guard.
-    ScopedAllocationAllow allow;
-    POPS_CHECK(false,
-               str_cat("best_route: direct candidate failed verification: ",
-                       verification_failure()));
-  }
-  rebuild_theorem2();
-  if (!delivers(theorem2_schedule_, pi)) {
-    ScopedAllocationAllow allow;
-    POPS_CHECK(
-        false,
-        str_cat("best_route: Theorem 2 candidate failed verification: ",
-                verification_failure()));
-  }
-  // Direct wins ties: same length, one hop per packet and no relay
-  // buffering.
-  if (direct_schedule_.slot_count() <=
-      theorem2_schedule_.slot_count()) {
-    last_strategy_ = RouteStrategy::kDirect;
-    return direct_schedule_;
-  }
-  last_strategy_ = RouteStrategy::kTheorem2;
-  return theorem2_schedule_;
-}
-
 const FlatSchedule& RoutingEngine::route_h_relation(
     Span<const Request> requests) {
   // The schedule holds at most two transmissions per request, counted
@@ -395,17 +352,11 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   h_schedule_.clear();
   h_schedule_.reserve(2 * count, static_cast<int>(max_slots));
   phase_slot_offsets_.assign(1, 0);
+  int phase_demand = 0;  // direct_max_demand() reports permutations only
   for (int c = 0; c < h; ++c) {
     // By properness the phase is a partial permutation, so both
-    // builders take its packets as they are. Only the shorter schedule
-    // is built; ties go to direct, as in route_best.
-    const Span<const Transmission> packets = phase_packets(c);
-    const Load load = measure(packets);
-    if (load.max_demand <= 2 * ((load.group_degree + g - 1) / g)) {
-      build_direct(packets, load.max_demand, h_schedule_);
-    } else {
-      build_theorem2(packets, h_schedule_);
-    }
+    // builders take its packets as they are.
+    emit(phase_packets(c), RouteStrategy::kBest, h_schedule_, phase_demand);
     phase_slot_offsets_.push_back(h_schedule_.slot_count());
   }
   return h_schedule_;
@@ -420,28 +371,28 @@ Span<const Transmission> RoutingEngine::phase_packets(int phase) const {
                                   as_size(hi - lo));
 }
 
-bool RoutingEngine::delivers(const FlatSchedule& schedule,
-                             const Permutation& pi) {
+void RoutingEngine::verify_or_abort(const Permutation& pi) {
   if (!net_.has_value()) {
     // Constructing the simulator is the one allocating step of the
-    // portfolio path; it happens exactly once, on the (unbanned)
-    // warm-up call.
+    // verify path; it happens exactly once, on an unbanned call.
     ScopedAllocationAllow allow;
     net_.emplace(topo_);
   }
   net_->reset();
   net_->load_permutation_traffic(pi);
-  const bool delivered = net_->execute(schedule) && net_->all_delivered();
+  const bool delivered = net_->execute(schedule_) && net_->all_delivered();
   warm_verify_ = true;
   net_->ban_steady_allocations(true);
-  return delivered;
-}
-
-std::string RoutingEngine::verification_failure() const {
-  if (!net_.has_value()) return "verification never ran";
-  return net_->failure().empty()
-             ? "schedule executed but left packets undelivered"
-             : net_->failure();
+  if (delivered) return;
+  // Cold failure path: composing the diagnostic allocates, and the
+  // abort must name the broken schedule, not trip the guard.
+  ScopedAllocationAllow allow;
+  POPS_CHECK(false, str_cat("route: ", to_string(last_strategy_),
+                            " schedule failed verification: ",
+                            net_->failure().empty()
+                                ? "schedule executed but left packets "
+                                  "undelivered"
+                                : net_->failure()));
 }
 
 ScratchFootprint RoutingEngine::scratch_footprint() const {
@@ -450,13 +401,10 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
       packets_.capacity() + group_load_.capacity() + h_.scratch_capacity() +
       colorer_.scratch_capacity() + coloring_.color.capacity() +
       batch_packets_.capacity() + used_of_group_.capacity() +
-      intermediate_of_.capacity() +
-      theorem2_schedule_.transmission_capacity() +
-      theorem2_schedule_.slot_capacity() + coupler_count_.capacity() +
+      intermediate_of_.capacity() + schedule_.transmission_capacity() +
+      schedule_.slot_capacity() + coupler_count_.capacity() +
       coupler_offset_.capacity() + coupler_queue_.capacity() +
       image_seen_stamp_.capacity() +
-      direct_schedule_.transmission_capacity() +
-      direct_schedule_.slot_capacity() +
       (net_.has_value() ? net_->scratch_capacity() : 0) +
       traffic_.scratch_capacity() + traffic_coloring_.color.capacity() +
       phase_offsets_.capacity() + phase_packets_.capacity() +

@@ -14,10 +14,16 @@
 // route_h_relation, which TrafficServer calls once per window and the
 // free route_h_relation (routing/h_relation.h) wraps.
 //
-// There is one Theorem 2 builder and one direct builder. Both take a
-// packet list, one Transmission (source, destination, packet id) per
-// packet: all n packets named by source for a permutation, or one
-// phase's requests named by request id for an h-relation.
+// Every schedule comes out of one private emit(). Its packet list
+// holds one Transmission (source, destination, packet id) per packet:
+// all n packets named by source for a permutation, or one phase's
+// requests named by request id for an h-relation. kTheorem2 builds
+// Theorem 2; kDirect and kBest first make one pass over the packets
+// that finds M, the most packets on one coupler (the direct schedule's
+// length), and Delta, the most packets one group sends or receives.
+// kDirect then builds direct, and kBest builds only the shorter of the
+// two schedules, direct on ties. Every h-relation phase takes the
+// kBest path.
 //
 // Mei & Rizzi's Theorem 2 needs only a proper coloring of the group
 // multigraph H (one edge per packet, source group to destination
@@ -36,12 +42,12 @@
 //
 // The engine owns every intermediate object — the packet list, the
 // packet multigraphs, the edge colorings, the batch list, the coupler
-// queues of the direct router, the verification Network of the
-// portfolio, and the emitted FlatSchedules — and rebuilds them in
-// place per route. Routing a permutation performs no
-// heap allocation after one warm-up call per strategy (asserted by
-// tests that compare scratch_footprint() across calls) with every
-// coloring backend.
+// queues of the direct builder, the verification Network, the
+// permutation schedule and the h-relation schedule — and rebuilds them
+// in place per route. Routing a permutation performs no heap
+// allocation once each builder it may run, and the simulator when it
+// verifies, has run once (asserted by tests that compare
+// scratch_footprint() across calls) with every coloring backend.
 //
 // An h-relation has no fixed shape: the traffic multigraph, the phase
 // arrays and the window schedule grow with the request count and the
@@ -53,7 +59,6 @@
 
 #include <iosfwd>
 #include <optional>
-#include <string>
 
 #include "graph/bipartite_multigraph.h"
 #include "graph/edge_coloring.h"
@@ -83,7 +88,6 @@ inline bool operator!=(const ScratchFootprint& a,
 
 /// "<units> units" — so EXPECT_EQ on two footprints prints both
 /// values on mismatch instead of just "footprints differ".
-std::string to_string(const ScratchFootprint& footprint);
 std::ostream& operator<<(std::ostream& os,
                          const ScratchFootprint& footprint);
 
@@ -98,22 +102,31 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const RouterOptions& options() const { return options_; }
 
   /// Unified entry point: routes pi with options.strategy and returns
-  /// the schedule. options.verify executes the schedule on the
-  /// internal strict simulator and aborts on any violation (kBest
-  /// always verifies). The coloring backend is fixed at construction
-  /// (RouterOptions). The returned reference stays valid until the
-  /// next route call on this engine.
+  /// the schedule. kTheorem2 builds Theorem 2, exactly
+  /// theorem2_slots(topology()) slots; kDirect builds direct, exactly
+  /// M slots, M the most packets on one coupler; kBest finds M in one
+  /// pass and builds only the shorter of the two, direct on ties.
+  /// options.verify executes the schedule on the internal strict
+  /// simulator and aborts on any violation; kBest always verifies the
+  /// schedule it returns. The coloring backend is fixed at
+  /// construction (RouterOptions). The returned reference stays valid
+  /// until the next permutation route on this engine.
+  ///
+  /// Allocation-free once every builder the strategy may run (both for
+  /// kBest) has run on a permutation, and the simulator too when the
+  /// route verifies: from then on the call arms a ScopedAllocationBan
+  /// on itself.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
-  /// Strategy that produced the last route() or route_best() schedule
-  /// — the concrete winner (kDirect or kTheorem2) when kBest was
-  /// requested.
+  /// Builder that produced the last permutation schedule: kDirect or
+  /// kTheorem2, the winner when kBest was requested.
   RouteStrategy last_strategy() const { return last_strategy_; }
 
-  /// Theorem 2 schedule for pi: exactly theorem2_slots(topology())
-  /// slots. The returned reference (and intermediate_of()) stays valid
-  /// until the next route_* call on this engine.
+  /// route(pi, {RouteStrategy::kTheorem2}). The returned reference
+  /// stays valid until the next permutation route on this engine, and
+  /// intermediate_of() until the next route of any kind (a Theorem 2
+  /// phase of an h-relation writes it too).
   const FlatSchedule& route_permutation(const Permutation& pi);
 
   /// Same schedule for a permutation given as its raw image array
@@ -128,14 +141,13 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// packet was routed directly, as in the d == 1 case).
   Span<const int> intermediate_of() const { return intermediate_of_; }
 
-  /// Greedy direct (no-intermediate) schedule: every packet crosses in
-  /// one hop, and slot t carries the t-th pending packet of every
-  /// coupler queue. In a permutation the sources and destinations are
-  /// pairwise distinct, so the coupler is the only contended resource
-  /// and the schedule takes exactly max-demand slots, where max demand
-  /// is the largest number of packets sharing one coupler. That is
-  /// optimal among direct schedules and exact (one slot) on demand-1
-  /// traffic.
+  /// route(pi, {RouteStrategy::kDirect}): the greedy direct
+  /// (no-intermediate) schedule. Every packet crosses in one hop, and
+  /// slot t carries the t-th pending packet of every coupler queue. In
+  /// a permutation the sources and destinations are pairwise distinct,
+  /// so the coupler is the only contended resource and the schedule
+  /// takes exactly M slots. That is optimal among direct schedules and
+  /// exact (one slot) on demand-1 traffic.
   ///
   /// The crossover against Theorem 2's flat 2 * ceil(d / g):
   ///   * random traffic, d >> g: max demand concentrates near d/g, so
@@ -144,17 +156,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   ///     rotation): all d packets of a group share one coupler, so
   ///     direct degrades to d slots, worse by a factor g/2.
   const FlatSchedule& route_direct(const Permutation& pi);
+  /// M of the last kDirect or kBest permutation route, whichever
+  /// schedule it built; h-relation phases leave it alone.
   int direct_max_demand() const { return direct_max_demand_; }
-
-  /// Portfolio: routes pi with both strategies, executes both
-  /// schedules on the engine's internal strict simulator (aborting on
-  /// any violation — the engine never hands out an unverified
-  /// portfolio plan), and returns the shorter one. Ties go to direct.
-  const FlatSchedule& route_best(const Permutation& pi);
-  int direct_slot_count() const { return direct_schedule_.slot_count(); }
-  int theorem2_slot_count() const {
-    return theorem2_schedule_.slot_count();
-  }
 
   /// Routes an h-relation: every processor sends and receives at most
   /// h of the requests. König colors the traffic multigraph (one edge
@@ -163,7 +167,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// id. One pass over a phase finds M, the most of its packets on one
   /// coupler, and Delta, the most one group sends or receives; the
   /// phase then gets only the shorter schedule, direct (M slots, which
-  /// wins ties as in route_best) or Theorem 2 (2 * ceil(Delta / g)).
+  /// wins ties) or Theorem 2 (2 * ceil(Delta / g)), by the kBest rule.
   /// Phase c occupies slots [phase_slot_offsets()[c],
   /// phase_slot_offsets()[c + 1]), at most theorem2_slots(topology()).
   ///
@@ -203,36 +207,39 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
     int max_demand;
   };
   Load measure(Span<const Transmission> packets);
-  /// The two builders append a schedule for `packets`, which must have
-  /// pairwise distinct sources and pairwise distinct destinations, to
-  /// `out`. build_direct reads the counts measure(packets) left.
+  /// Appends the schedule `strategy` names for `packets`, which must
+  /// have pairwise distinct sources and pairwise distinct destinations,
+  /// to `out`, and returns the builder that ran. kDirect and kBest
+  /// measure() first and leave M in `max_demand`; kBest then builds
+  /// direct when M is at most Theorem 2's length, 1 when d == 1 and
+  /// 2 * ceil(Delta / g) otherwise. This is the only choice between
+  /// the two builders.
+  RouteStrategy emit(Span<const Transmission> packets,
+                     RouteStrategy strategy, FlatSchedule& out,
+                     int& max_demand);
+  /// The two builders. build_direct reads the counts measure(packets)
+  /// left.
   void build_direct(Span<const Transmission> packets, int max_demand,
                     FlatSchedule& out);
   void build_theorem2(Span<const Transmission> packets, FlatSchedule& out);
-  /// The permutation routes: packets_ holds all n packets, named by
-  /// source, and the rebuilds route it into direct_schedule_ or
-  /// theorem2_schedule_.
+  /// The permutation path: load_permutation fills packets_ with all n
+  /// packets, named by source, and emit_permutation emits them into
+  /// schedule_ and records the builder, M and the warm flags.
   void load_permutation(Span<const int> images);
-  void rebuild_direct();
-  void rebuild_theorem2();
-  /// Executes `schedule` on the internal simulator under permutation
-  /// traffic pi; true iff every packet was delivered. Allocation-free
-  /// once the simulator is warm.
-  bool delivers(const FlatSchedule& schedule, const Permutation& pi);
-  /// Aborts with the simulator's diagnostic unless `schedule`
-  /// delivers pi — the RouteOptions::verify path.
-  void verify_or_abort(const FlatSchedule& schedule, const Permutation& pi,
-                       const char* what);
-  /// Why the last delivers() returned false, for abort messages.
-  std::string verification_failure() const;
+  void emit_permutation(RouteStrategy strategy);
+  /// Executes schedule_ on the internal simulator under permutation
+  /// traffic pi and aborts with the simulator's diagnostic unless it
+  /// delivers every packet. Allocation-free once the simulator is warm.
+  void verify_or_abort(const Permutation& pi);
 
   Topology topo_;
   RouterOptions options_;
 
-  // One warm-up call per strategy sizes that strategy's arenas; from
-  // the second call on, the entry point arms a ScopedAllocationBan on
-  // itself, so the steady-state contract is enforced at runtime rather
-  // than inferred from footprint snapshots.
+  // The first permutation route through a builder (or the simulator)
+  // sizes its arenas; once every one a route may touch is warm, the
+  // entry point arms a ScopedAllocationBan on itself, so the
+  // steady-state contract is enforced at runtime rather than inferred
+  // from footprint snapshots.
   bool warm_theorem2_ = false;
   bool warm_direct_ = false;
   bool warm_verify_ = false;
@@ -251,7 +258,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::vector<int> batch_packets_;  // one batch's packet indices
   std::vector<int> used_of_group_;  // intermediates taken per group
   std::vector<int> intermediate_of_;  // by source processor
-  FlatSchedule theorem2_schedule_;
+  // The last permutation schedule, from either builder: at most 2n
+  // transmissions over max(theorem2_slots, d) slots.
+  FlatSchedule schedule_;
   // Bijectivity check of the Span overload: seen[v] is valid only when
   // stamped with the current validation epoch, so no clearing pass.
   std::vector<long long> image_seen_stamp_;
@@ -262,12 +271,11 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::vector<int> coupler_offset_;  // prefix sums, coupler_count()+1
   std::vector<int> coupler_queue_;   // packet indices by coupler
   int direct_max_demand_ = 0;
-  FlatSchedule direct_schedule_;
 
-  // --- Portfolio scratch ---
-  // Constructed on the first verifying call: the simulator's packet
-  // records, id index and stamp arrays are a large arena, and the
-  // unverified theorem2/direct paths never touch them.
+  // --- Verification ---
+  // Constructed on the first verifying route: the simulator's packet
+  // records, id index and stamp arrays are a large arena, and
+  // unverified routes never touch them.
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 

@@ -29,7 +29,7 @@
 //   RouteResult result = route(topo, pi, RouteOptions{...});
 //
 // which selects a strategy (Theorem 2, the greedy direct router, or
-// the verified best-of-both portfolio), optionally verifies the
+// the verified shorter of the two), optionally verifies the
 // schedule on the strict simulator, and returns a FlatSchedule plus
 // the strategy that produced it. Bulk callers hold a RoutingEngine
 // and call engine.route(pi, options) to reuse the scratch arenas;
@@ -55,9 +55,11 @@ enum class RouteStrategy {
   /// The paper's two-phase construction: a flat 2 * ceil(d / g) slots
   /// (1 slot when d = 1) for ANY permutation.
   kTheorem2 = 1,
-  /// Run both, verify both on the strict simulator, keep the shorter
-  /// schedule (ties go to direct). Always verified, regardless of
-  /// RouteOptions::verify.
+  /// One pass over the packets finds M, the most packets on one
+  /// coupler (the direct schedule's length); only the shorter of the
+  /// two schedules is built, direct on ties. The schedule returned is
+  /// always verified, regardless of RouteOptions::verify. Every
+  /// h-relation phase is routed by the same rule.
   kBest = 2,
 };
 
@@ -76,8 +78,8 @@ struct RouterOptions {
 struct RouteOptions {
   RouteStrategy strategy = RouteStrategy::kBest;
   /// Execute the schedule on the strict simulator and abort on any
-  /// model violation or misdelivery. kBest verifies both candidates
-  /// unconditionally; for kDirect/kTheorem2 this buys the same
+  /// model violation or misdelivery. kBest always verifies the
+  /// schedule it returns; for kDirect/kTheorem2 this buys the same
   /// guarantee at the cost of one simulated execution.
   bool verify = false;
 };

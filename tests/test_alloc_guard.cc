@@ -113,11 +113,15 @@ POPS_TEST(WarmEngineInsideBanIsClean) {
   Rng rng(7);
   const Permutation warm_up =
       Permutation::random(topo.processor_count(), rng);
-  engine.route_best(warm_up);  // warms all three strategies + verifier
+  // Warm both builders and the verifier: a kBest route runs only the
+  // builder that wins.
+  engine.route_direct(warm_up);
+  engine.route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
   const Permutation steady =
       Permutation::random(topo.processor_count(), rng);
   ScopedAllocationBan ban("test: warm engine route");
-  const FlatSchedule& schedule = engine.route_best(steady);
+  const FlatSchedule& schedule =
+      engine.route(steady, {RouteStrategy::kBest});
   EXPECT_TRUE(schedule.slot_count() > 0);
 }
 
@@ -156,11 +160,14 @@ POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
     Rng rng(7);
     const Permutation warm_up =
         Permutation::random(topo.processor_count(), rng);
-    engine.route_best(warm_up);  // warms all strategies + verifier
+    // Warm both builders and the verifier.
+    engine.route_direct(warm_up);
+    engine.route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
     const Permutation steady =
         Permutation::random(topo.processor_count(), rng);
     ScopedAllocationBan ban("test: warm backend route");
-    const FlatSchedule& schedule = engine.route_best(steady);
+    const FlatSchedule& schedule =
+        engine.route(steady, {RouteStrategy::kBest});
     EXPECT_TRUE(schedule.slot_count() > 0);
   }
 }

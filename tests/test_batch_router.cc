@@ -1,7 +1,8 @@
 // BatchRouter contract tests: batch output must be bitwise identical
 // to routing the same permutations sequentially on one engine (for
 // every coloring backend and strategy, with and without verification,
-// at one and several threads), and the pool's scratch footprint must
+// at one and several threads, on fixed and seeded random shapes; the
+// one-shot route() must match too), and the pool's scratch footprint must
 // stay flat across a soak — the no-allocation-after-construction
 // claim, checked both by footprint diff and by the per-engine
 // allocation bans in POPS_ALLOC_GUARD builds.
@@ -12,36 +13,29 @@
 #include "routing/engine.h"
 #include "routing/verify.h"
 #include "support/prng.h"
+#include "tests/schedule_util.h"
 #include "tests/testing.h"
 
 namespace pops {
 namespace {
-
-bool identical(const FlatSchedule& a, const FlatSchedule& b) {
-  if (a.slot_count() != b.slot_count()) return false;
-  if (a.transmission_count() != b.transmission_count()) return false;
-  for (int s = 0; s < a.slot_count(); ++s) {
-    const Span<const Transmission> sa = a.slot(s);
-    const Span<const Transmission> sb = b.slot(s);
-    if (sa.size() != sb.size()) return false;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      if (sa[i].source != sb[i].source ||
-          sa[i].destination != sb[i].destination ||
-          sa[i].packet != sb[i].packet) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 POPS_TEST(BatchMatchesSequentialEngineAcrossStrategies) {
   Rng rng(81);
   // Odd d makes euler-split peel matchings with its seeded random walk.
   // 7/4 and 5/2 leave a last batch of fewer than g colors, and 3/8
   // spreads H onto more classes than it has colors.
-  for (const auto& [d, g] : {std::pair{1, 4}, {4, 4}, {8, 3}, {3, 4},
-                             {5, 3}, {7, 4}, {5, 2}, {3, 8}}) {
+  std::vector<std::pair<int, int>> shapes = {{1, 4}, {4, 4}, {8, 3},
+                                             {3, 4}, {5, 3}, {7, 4},
+                                             {5, 2}, {3, 8}};
+  // Seeded random shapes with d, g <= 12; the first has d == 1 and the
+  // second g == 1, so both degenerate cases occur.
+  Rng shape_rng(88);
+  for (int k = 0; k < 6; ++k) {
+    const int d = k == 0 ? 1 : shape_rng.uniform_int(1, 12);
+    const int g = k == 1 ? 1 : shape_rng.uniform_int(1, 12);
+    shapes.emplace_back(d, g);
+  }
+  for (const auto& [d, g] : shapes) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     std::vector<Permutation> perms;
@@ -75,8 +69,16 @@ POPS_TEST(BatchMatchesSequentialEngineAcrossStrategies) {
             for (std::size_t i = 0; i < perms.size(); ++i) {
               const FlatSchedule& expected =
                   sequential.route(perms[i], options);
-              EXPECT_TRUE(identical(results[i], expected));
+              EXPECT_TRUE(testing::same_schedule(results[i], expected));
               EXPECT_TRUE(verify_schedule(topo, perms[i], results[i]).ok);
+              // The one-shot route() runs a transient engine on the
+              // default backend.
+              if (algorithm != RouterOptions{}.coloring) continue;
+              const RouteResult one_shot = route(topo, perms[i], options);
+              EXPECT_TRUE(
+                  testing::same_schedule(one_shot.schedule, expected));
+              EXPECT_TRUE(one_shot.strategy == sequential.last_strategy());
+              EXPECT_EQ(one_shot.slot_count, expected.slot_count());
             }
           }
         }
@@ -99,7 +101,8 @@ POPS_TEST(MoreThreadsThanJobs) {
   router.route_batch(perms, results);
   RoutingEngine sequential(topo);
   for (std::size_t i = 0; i < perms.size(); ++i) {
-    EXPECT_TRUE(identical(results[i], sequential.route(perms[i])));
+    EXPECT_TRUE(
+        testing::same_schedule(results[i], sequential.route(perms[i])));
   }
 }
 
@@ -128,7 +131,8 @@ POPS_TEST(BackToBackBatchesReuseTheSamePool) {
     std::vector<FlatSchedule> results(perms.size());
     router.route_batch(perms, results);
     for (std::size_t i = 0; i < perms.size(); ++i) {
-      EXPECT_TRUE(identical(results[i], sequential.route(perms[i])));
+      EXPECT_TRUE(
+        testing::same_schedule(results[i], sequential.route(perms[i])));
     }
   }
 }

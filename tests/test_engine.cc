@@ -13,6 +13,7 @@
 #include "support/alloc_guard.h"
 #include "support/prng.h"
 #include "tests/h_relation_util.h"
+#include "tests/schedule_util.h"
 #include "tests/testing.h"
 
 namespace pops {
@@ -52,23 +53,71 @@ POPS_TEST(EngineDirectAndBestVerify) {
     for (const Permutation& pi :
          {Permutation::random(n, rng), vector_reversal(n),
           group_rotation(d, g, 1)}) {
+      // The engine keeps one permutation schedule, so each is checked
+      // before the next route replaces it.
       const FlatSchedule& direct = engine.route_direct(pi);
-      EXPECT_EQ(direct.slot_count(), engine.direct_max_demand());
+      const int max_demand = engine.direct_max_demand();
+      EXPECT_EQ(direct.slot_count(), max_demand);
       EXPECT_TRUE(verify_schedule(topo, pi, direct).ok);
+      const FlatSchedule& theorem2 = engine.route_permutation(pi);
+      EXPECT_EQ(theorem2.slot_count(), theorem2_slots(topo));
+      EXPECT_TRUE(verify_schedule(topo, pi, theorem2).ok);
 
-      const FlatSchedule& best = engine.route_best(pi);
+      const FlatSchedule& best = engine.route(pi, {RouteStrategy::kBest});
       // Direct wins ties.
-      const bool direct_wins =
-          engine.direct_slot_count() <= engine.theorem2_slot_count();
+      const bool direct_wins = max_demand <= theorem2_slots(topo);
       const RouteStrategy winner =
           direct_wins ? RouteStrategy::kDirect : RouteStrategy::kTheorem2;
       EXPECT_TRUE(engine.last_strategy() == winner);
-      EXPECT_EQ(best.slot_count(), direct_wins
-                                       ? engine.direct_slot_count()
-                                       : engine.theorem2_slot_count());
-      EXPECT_EQ(engine.direct_slot_count(), engine.direct_max_demand());
-      EXPECT_EQ(engine.theorem2_slot_count(), theorem2_slots(topo));
+      EXPECT_EQ(best.slot_count(),
+                direct_wins ? max_demand : theorem2_slots(topo));
+      EXPECT_EQ(engine.direct_max_demand(), max_demand);
       EXPECT_TRUE(verify_schedule(topo, pi, best).ok);
+    }
+  }
+}
+
+POPS_TEST(BestReturnsTheWinnerBitForBit) {
+  // kBest measures M and builds only the shorter schedule, so it must
+  // equal, transmission for transmission, what a second engine builds
+  // with the winning builder alone. A permutation handed to
+  // route_h_relation as n requests listed by source is one phase,
+  // routed by the same rule, so it must come out identical too.
+  Rng rng(77);
+  for (const auto& [d, g] : {std::pair{1, 8}, {8, 1}, {3, 8}, {8, 3},
+                             {4, 4}, {5, 2}, {16, 4}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    std::vector<Permutation> cases;
+    for (int i = 0; i < 6; ++i) cases.push_back(Permutation::random(n, rng));
+    cases.push_back(Permutation::identity(n));
+    cases.push_back(vector_reversal(n));
+    cases.push_back(group_rotation(d, g, g > 1 ? 1 : 0));
+    cases.push_back(cyclic_shift(n, d));
+    for (const auto algorithm : kAllColoringAlgorithms) {
+      RouterOptions options;
+      options.coloring = algorithm;
+      RoutingEngine best_engine(topo, options);
+      RoutingEngine builder(topo, options);
+      RoutingEngine relation(topo, options);
+      for (const Permutation& pi : cases) {
+        const FlatSchedule& best =
+            best_engine.route(pi, {RouteStrategy::kBest});
+        const bool direct_wins =
+            best_engine.direct_max_demand() <= theorem2_slots(topo);
+        EXPECT_TRUE(best_engine.last_strategy() ==
+                    (direct_wins ? RouteStrategy::kDirect
+                                 : RouteStrategy::kTheorem2));
+        EXPECT_TRUE(testing::same_schedule(
+            best, direct_wins ? builder.route_direct(pi)
+                              : builder.route_permutation(pi)));
+        std::vector<Request> requests;
+        for (int source = 0; source < n; ++source) {
+          requests.push_back(Request{source, pi(source)});
+        }
+        EXPECT_TRUE(
+            testing::same_schedule(best, relation.route_h_relation(requests)));
+      }
     }
   }
 }
@@ -87,9 +136,12 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);
-    // Warm-up: one call per strategy (route_best covers both builders,
-    // plus the verification Network).
-    engine.route_best(Permutation::random(n, rng));
+    // Warm-up: each builder once, and the verification Network once.
+    // A kBest route runs only the builder that wins, so it is not a
+    // warm-up for the other.
+    const Permutation warm_up = Permutation::random(n, rng);
+    engine.route_direct(warm_up);
+    engine.route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
     const ScratchFootprint warm = engine.scratch_footprint();
     EXPECT_TRUE(warm.units > 0);
     std::vector<Permutation> trials;
@@ -106,7 +158,7 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
       EXPECT_EQ(engine.scratch_footprint(), warm);
       engine.route_direct(pi);
       EXPECT_EQ(engine.scratch_footprint(), warm);
-      engine.route_best(pi);
+      engine.route(pi, {RouteStrategy::kBest});
       EXPECT_EQ(engine.scratch_footprint(), warm);
     }
   }

@@ -183,7 +183,7 @@ POPS_TEST(ZipfHotGroupSkewsTowardGroupZero) {
   for (int k = 0; k < 4000; ++k) {
     const int group = topo.group_of(generator.next().destination);
     if (group == 0) ++hot;
-    if (group == topo.group_count() - 1) ++cold;
+    if (group == topo.g() - 1) ++cold;
   }
   EXPECT_TRUE(hot > 2 * cold);
 }

@@ -30,9 +30,10 @@ POPS_TEST(TwoEnginesOnTwoThreadsRouteDisjointTopologies) {
     for (int trial = 0; trial < 200; ++trial) {
       const Permutation pi =
           Permutation::random(topo.processor_count(), rng);
-      const FlatSchedule& schedule = engine.route_best(pi);
-      // route_best verifies both candidates on its internal simulator
-      // and never exceeds the Theorem 2 bound.
+      const FlatSchedule& schedule =
+          engine.route(pi, {RouteStrategy::kBest});
+      // kBest verifies the schedule it returns on the engine's internal
+      // simulator and never exceeds the Theorem 2 bound.
       if (schedule.slot_count() < 1 ||
           schedule.slot_count() > theorem2_slots(topo)) {
         ++bad_schedules;
