@@ -10,16 +10,15 @@ BatchRouter::BatchRouter(const Topology& topo,
   POPS_CHECK(config.threads >= 1, "BatchRouter needs at least one thread");
   engines_.reserve(as_size(config.threads));
   // Warm every engine on the launching thread, before any worker
-  // exists: one direct build, one Theorem 2 build and one simulator
-  // run bring all arenas to their steady-state shapes (which depend
-  // only on the topology, not on the permutation), so every strategy,
-  // verified or not, arms the engine's own allocation ban. Workers
-  // then inherit engines that never allocate again.
+  // exists: one kBest route sizes both builders and the verification
+  // simulator, so all arenas reach their steady-state shapes (which
+  // depend only on the topology, not on the permutation) and every
+  // strategy, verified or not, arms the engine's own allocation ban.
+  // Workers then inherit engines that never allocate again.
   const Permutation warm_up = Permutation::identity(topo.processor_count());
   for (int i = 0; i < config.threads; ++i) {
     engines_.emplace_back(topo_, config.engine);
-    engines_.back().route_direct(warm_up);
-    engines_.back().route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
+    engines_.back().route(warm_up, {RouteStrategy::kBest});
   }
   workers_.reserve(as_size(config.threads));
   for (int i = 0; i < config.threads; ++i) {

@@ -43,10 +43,9 @@ struct BatchRouterConfig {
 
 class BatchRouter {
  public:
-  /// Builds and warms one engine per worker (a direct route and a
-  /// verified Theorem 2 route of a warm-up permutation size every
-  /// arena, including the verification simulator), then starts the
-  /// workers. All allocation happens here.
+  /// Builds and warms one engine per worker (one kBest route of a
+  /// warm-up permutation sizes every arena, including the verification
+  /// simulator), then starts the workers. All allocation happens here.
   explicit BatchRouter(const Topology& topo,
                        const BatchRouterConfig& config = {});
   /// Stops and joins the workers.

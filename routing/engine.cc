@@ -33,6 +33,9 @@ RoutingEngine::RoutingEngine(const Topology& topo,
   // Theorem 2 sends every packet twice; a direct schedule sends it
   // once, and one coupler carries at most the d packets of one group.
   schedule_.reserve(2 * n, std::max(theorem2_slots(topo_), topo_.d()));
+  // A direct route arms its ban once the packet list is sized, even if
+  // only Theorem 2 routes came before, so measure()'s table is sized here.
+  group_load_.reserve(as_size(2 * topo_.g()));
   coupler_count_.reserve(as_size(topo_.coupler_count()));
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
@@ -47,13 +50,12 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
                  strategy == RouteStrategy::kBest,
              "route: unknown RouteStrategy");
   const bool verify = options.verify || strategy == RouteStrategy::kBest;
-  // kDirect never runs the Theorem 2 builder, and kTheorem2 never runs
-  // the direct one; kBest may run either.
-  ScopedAllocationBan ban(
-      "RoutingEngine::route",
-      (strategy == RouteStrategy::kDirect || warm_theorem2_) &&
-          (strategy == RouteStrategy::kTheorem2 || warm_direct_) &&
-          (!verify || warm_verify_));
+  // A direct route needs only the packet list sized; the first
+  // kTheorem2 or kBest route sizes the Theorem 2 arenas.
+  const bool warm = strategy == RouteStrategy::kDirect ? !packets_.empty()
+                                                       : warm_theorem2_;
+  ScopedAllocationBan ban("RoutingEngine::route",
+                          warm && (!verify || warm_verify_));
   // The Permutation constructor already validated bijectivity.
   load_permutation(Span<const int>(pi.images()));
   emit_permutation(strategy);
@@ -104,14 +106,17 @@ void RoutingEngine::load_permutation(Span<const int> images) {
 
 void RoutingEngine::emit_permutation(RouteStrategy strategy) {
   schedule_.clear();
-  last_strategy_ = emit(packets_, strategy, schedule_, direct_max_demand_);
-  if (last_strategy_ == RouteStrategy::kDirect) {
-    warm_direct_ = true;
-    return;
+  if (strategy == RouteStrategy::kBest && !warm_theorem2_) {
+    // The first kBest route builds Theorem 2 once, whichever schedule it
+    // returns: one build sizes its arenas, which depend on (d, g) alone.
+    build_theorem2(packets_, schedule_);
+    schedule_.clear();
   }
-  POPS_CHECK(schedule_.slot_count() == theorem2_slots(topo_),
+  last_strategy_ = emit(packets_, strategy, schedule_, direct_max_demand_);
+  POPS_CHECK(last_strategy_ == RouteStrategy::kDirect ||
+                 schedule_.slot_count() == theorem2_slots(topo_),
              "Theorem 2 schedule has the wrong number of slots");
-  warm_theorem2_ = true;
+  if (strategy != RouteStrategy::kDirect) warm_theorem2_ = true;
 }
 
 RouteStrategy RoutingEngine::emit(Span<const Transmission> packets,
@@ -121,8 +126,7 @@ RouteStrategy RoutingEngine::emit(Span<const Transmission> packets,
     const Load load = measure(packets);
     max_demand = load.max_demand;
     const int g = topo_.g();
-    const int theorem2 =
-        topo_.d() == 1 ? 1 : 2 * ((load.group_degree + g - 1) / g);
+    const int theorem2 = 2 * ((load.group_degree + g - 1) / g);
     // Direct wins ties: same length, one hop per packet and no relay
     // buffering.
     if (strategy == RouteStrategy::kDirect || max_demand <= theorem2) {

@@ -44,10 +44,12 @@
 // packet multigraphs, the edge colorings, the batch list, the coupler
 // queues of the direct builder, the verification Network, the
 // permutation schedule and the h-relation schedule — and rebuilds them
-// in place per route. Routing a permutation performs no heap
-// allocation once each builder it may run, and the simulator when it
-// verifies, has run once (asserted by tests that compare
-// scratch_footprint() across calls) with every coloring backend.
+// in place per route. The direct builder's arenas are reserved at
+// construction, and the first kBest route sizes the rest: it builds
+// Theorem 2 once, whichever schedule it returns, and verifies. From
+// then on routing a permutation performs no heap allocation (asserted
+// by tests that compare scratch_footprint() across calls) with every
+// coloring backend.
 //
 // An h-relation has no fixed shape: the traffic multigraph, the phase
 // arrays and the window schedule grow with the request count and the
@@ -112,10 +114,10 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// construction (RouterOptions). The returned reference stays valid
   /// until the next permutation route on this engine.
   ///
-  /// Allocation-free once every builder the strategy may run (both for
-  /// kBest) has run on a permutation, and the simulator too when the
-  /// route verifies: from then on the call arms a ScopedAllocationBan
-  /// on itself.
+  /// Allocation-free, and arming a ScopedAllocationBan on itself, once
+  /// the engine has routed any permutation (for kDirect) or run a
+  /// kTheorem2 or kBest route (for the others), and a verifying route
+  /// when this one verifies: one kBest route covers all of them.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
@@ -137,8 +139,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const FlatSchedule& route_permutation(Span<const int> images);
 
   /// Intermediate processor of each source's packet in the last
-  /// Theorem 2 schedule of a permutation (the source itself when the
-  /// packet was routed directly, as in the d == 1 case).
+  /// Theorem 2 schedule built for a permutation (the source itself when
+  /// the packet was routed directly, as in the d == 1 case).
   Span<const int> intermediate_of() const { return intermediate_of_; }
 
   /// route(pi, {RouteStrategy::kDirect}): the greedy direct
@@ -211,9 +213,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// have pairwise distinct sources and pairwise distinct destinations,
   /// to `out`, and returns the builder that ran. kDirect and kBest
   /// measure() first and leave M in `max_demand`; kBest then builds
-  /// direct when M is at most Theorem 2's length, 1 when d == 1 and
-  /// 2 * ceil(Delta / g) otherwise. This is the only choice between
-  /// the two builders.
+  /// direct when M <= 2 * ceil(Delta / g), Theorem 2's length. This is
+  /// the only choice between the two builders.
   RouteStrategy emit(Span<const Transmission> packets,
                      RouteStrategy strategy, FlatSchedule& out,
                      int& max_demand);
@@ -224,7 +225,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   void build_theorem2(Span<const Transmission> packets, FlatSchedule& out);
   /// The permutation path: load_permutation fills packets_ with all n
   /// packets, named by source, and emit_permutation emits them into
-  /// schedule_ and records the builder, M and the warm flags.
+  /// schedule_ and records the builder, M and the warm flag.
   void load_permutation(Span<const int> images);
   void emit_permutation(RouteStrategy strategy);
   /// Executes schedule_ on the internal simulator under permutation
@@ -235,13 +236,12 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   Topology topo_;
   RouterOptions options_;
 
-  // The first permutation route through a builder (or the simulator)
-  // sizes its arenas; once every one a route may touch is warm, the
-  // entry point arms a ScopedAllocationBan on itself, so the
-  // steady-state contract is enforced at runtime rather than inferred
-  // from footprint snapshots.
+  // The first route that may build Theorem 2 sizes its arenas, and the
+  // first verifying route the simulator's; once every arena a route may
+  // touch is warm, the entry point arms a ScopedAllocationBan on
+  // itself, so the steady-state contract is enforced at runtime rather
+  // than inferred from footprint snapshots.
   bool warm_theorem2_ = false;
-  bool warm_direct_ = false;
   bool warm_verify_ = false;
   bool phase_arenas_sized_ = false;
 

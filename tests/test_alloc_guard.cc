@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "perm/families.h"
 #include "pops/patterns.h"
 #include "routing/engine.h"
 #include "serve/traffic_server.h"
@@ -107,22 +108,35 @@ POPS_TEST(ColdEngineInsideBanAborts) {
       "banned scope 'test: cold engine route'");
 }
 
-POPS_TEST(WarmEngineInsideBanIsClean) {
-  const Topology topo(4, 4);
-  RoutingEngine engine(topo);
+// Warms `engine` (POPS(4, 4)) with one kBest route that direct wins —
+// a transpose puts one packet on each coupler — then routes with each
+// builder and with kBest under the external ban `scope`: that one route
+// must have sized the Theorem 2 builder and the simulator too.
+void route_every_way_after_one_best_route(RoutingEngine& engine,
+                                          const char* scope) {
+  const Topology& topo = engine.topology();
+  engine.route(make_pattern(topo, TrafficPattern::kTranspose),
+               {RouteStrategy::kBest});
+  EXPECT_TRUE(engine.last_strategy() == RouteStrategy::kDirect);
   Rng rng(7);
-  const Permutation warm_up =
-      Permutation::random(topo.processor_count(), rng);
-  // Warm both builders and the verifier: a kBest route runs only the
-  // builder that wins.
-  engine.route_direct(warm_up);
-  engine.route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
   const Permutation steady =
       Permutation::random(topo.processor_count(), rng);
-  ScopedAllocationBan ban("test: warm engine route");
-  const FlatSchedule& schedule =
-      engine.route(steady, {RouteStrategy::kBest});
-  EXPECT_TRUE(schedule.slot_count() > 0);
+  // All d packets of a group share one coupler, so Theorem 2 wins.
+  const Permutation rotation = group_rotation(topo.d(), topo.g(), 1);
+  ScopedAllocationBan ban(scope);
+  EXPECT_TRUE(engine.route_direct(steady).slot_count() > 0);
+  EXPECT_TRUE(
+      engine.route(steady, {RouteStrategy::kTheorem2, /*verify=*/true})
+          .slot_count() > 0);
+  EXPECT_TRUE(engine.route(steady, {RouteStrategy::kBest}).slot_count() > 0);
+  EXPECT_TRUE(engine.route(rotation, {RouteStrategy::kBest}).slot_count() >
+              0);
+  EXPECT_TRUE(engine.last_strategy() == RouteStrategy::kTheorem2);
+}
+
+POPS_TEST(WarmEngineInsideBanIsClean) {
+  RoutingEngine engine(Topology(4, 4));
+  route_every_way_after_one_best_route(engine, "test: warm engine route");
 }
 
 POPS_TEST(ColdEngineInsideBanAbortsForEveryColoringBackend) {
@@ -153,22 +167,10 @@ POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
   // external ban without tripping it — including the engine's own (now
   // armed) entry-point ban underneath.
   for (const auto algorithm : kAllColoringAlgorithms) {
-    const Topology topo(4, 4);
     RouterOptions options;
     options.coloring = algorithm;
-    RoutingEngine engine(topo, options);
-    Rng rng(7);
-    const Permutation warm_up =
-        Permutation::random(topo.processor_count(), rng);
-    // Warm both builders and the verifier.
-    engine.route_direct(warm_up);
-    engine.route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
-    const Permutation steady =
-        Permutation::random(topo.processor_count(), rng);
-    ScopedAllocationBan ban("test: warm backend route");
-    const FlatSchedule& schedule =
-        engine.route(steady, {RouteStrategy::kBest});
-    EXPECT_TRUE(schedule.slot_count() > 0);
+    RoutingEngine engine(Topology(4, 4), options);
+    route_every_way_after_one_best_route(engine, "test: warm backend route");
   }
 }
 

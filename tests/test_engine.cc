@@ -136,12 +136,9 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);
-    // Warm-up: each builder once, and the verification Network once.
-    // A kBest route runs only the builder that wins, so it is not a
-    // warm-up for the other.
-    const Permutation warm_up = Permutation::random(n, rng);
-    engine.route_direct(warm_up);
-    engine.route(warm_up, {RouteStrategy::kTheorem2, /*verify=*/true});
+    // Warm-up: one kBest route sizes both builders, whichever wins,
+    // and the verification Network.
+    engine.route(Permutation::random(n, rng), {RouteStrategy::kBest});
     const ScratchFootprint warm = engine.scratch_footprint();
     EXPECT_TRUE(warm.units > 0);
     std::vector<Permutation> trials;

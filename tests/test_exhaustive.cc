@@ -10,17 +10,14 @@
 // including the split into empty classes), and H's colors read
 // directly as groups in multi-batch shapes (3/2, 4/2).
 //
-// For every POPS(d, g) with n <= 6 and every partial permutation of its
-// processors, route_h_relation must route the one phase at its exact
-// length on every backend, deliver it, and respect the bandwidth lower
-// bound. At these shapes d <= 2 or g <= 2, so a phase's busiest coupler
-// never exceeds 2 * ceil(Delta / g) and the direct schedule wins or
-// ties every phase; test_h_relation covers phases Theorem 2 wins.
-//
-// Every h-relation of degree at most 2 on n <= 4 processors, and of
-// degree at most 3 on n <= 3, routes on every shape and backend: its
-// multi-phase plan delivers, each phase at its exact length, above the
-// bandwidth lower bound.
+// Every h-relation of degree at most 3 on n <= 3 processors, of degree
+// at most 2 on n = 4, and of degree at most 1 (every partial
+// permutation) on n <= 6 routes on every shape and backend: its plan
+// has one phase per unit of degree, delivers, takes each phase at its
+// exact length, and respects the bandwidth lower bound. At these
+// shapes d <= 2 or g <= 2, so a phase's busiest coupler never exceeds
+// 2 * ceil(Delta / g) and the direct schedule wins or ties every
+// phase; test_h_relation covers phases Theorem 2 wins.
 #include <algorithm>
 #include <numeric>
 #include <vector>
@@ -74,29 +71,6 @@ POPS_TEST(EveryPermutationMeetsTheSlotFormulasOnEveryBackend) {
   }
 }
 
-// Calls visit(requests) once for every partial permutation of n
-// processors: sources from `source` on either stay idle or send to a
-// destination not yet taken. Requests are listed by source.
-template <typename Visit>
-void for_each_partial_permutation(int n, int source,
-                                  std::vector<char>& taken,
-                                  std::vector<Request>& requests,
-                                  const Visit& visit) {
-  if (source == n) {
-    visit(requests);
-    return;
-  }
-  for_each_partial_permutation(n, source + 1, taken, requests, visit);
-  for (int destination = 0; destination < n; ++destination) {
-    if (taken[as_size(destination)] != 0) continue;
-    taken[as_size(destination)] = 1;
-    requests.push_back(Request{source, destination});
-    for_each_partial_permutation(n, source + 1, taken, requests, visit);
-    requests.pop_back();
-    taken[as_size(destination)] = 0;
-  }
-}
-
 // ceil(Delta / min(d, g)), Delta the most moved packets one group sends
 // or receives: each slot carries at most min(d, g) of them out of (or
 // into) one group.
@@ -112,34 +86,6 @@ int moved_packet_bound(const Topology& topo,
          ++receives[as_size(topo.group_of(request.destination))]});
   }
   return ceil_div(delta, std::min(topo.d(), topo.g()));
-}
-
-POPS_TEST(EveryPartialPermutationRoutesAtItsExactLengthOnEveryBackend) {
-  for (int n = 1; n <= 6; ++n) {
-    for (int d = 1; d <= n; ++d) {
-      if (n % d != 0) continue;
-      const Topology topo(d, n / d);
-      for (const auto algorithm : kAllColoringAlgorithms) {
-        RouterOptions options;
-        options.coloring = algorithm;
-        RoutingEngine engine(topo, options);
-        std::vector<char> taken(as_size(n), 0);
-        std::vector<Request> requests;
-        for_each_partial_permutation(
-            n, 0, taken, requests,
-            [&](const std::vector<Request>& relation) {
-              const int slots =
-                  engine.route_h_relation(relation).slot_count();
-              const HRelationPlan plan = h_relation_plan(engine);
-              EXPECT_EQ(plan.h, relation.empty() ? 0 : 1);
-              EXPECT_EQ(slots,
-                        testing::expected_plan_slots(topo, relation, plan));
-              EXPECT_EQ(verify_h_relation(topo, relation, plan), "");
-              EXPECT_TRUE(slots >= moved_packet_bound(topo, relation));
-            });
-      }
-    }
-  }
 }
 
 // Calls visit(requests) once for every h-relation of degree at most h
@@ -173,9 +119,24 @@ void for_each_relation(int n, int h, int pair, std::vector<int>& sends,
   requests.resize(requests.size() - as_size(added));
 }
 
+// The most requests one processor sends or receives: the relation's
+// degree, and so its phase count.
+int relation_degree(int n, const std::vector<Request>& requests) {
+  std::vector<int> sends(as_size(n), 0);
+  std::vector<int> receives(as_size(n), 0);
+  int degree = 0;
+  for (const Request& request : requests) {
+    degree = std::max({degree, ++sends[as_size(request.source)],
+                       ++receives[as_size(request.destination)]});
+  }
+  return degree;
+}
+
 POPS_TEST(EveryLowDegreeHRelationRoutesAtItsExactLengthOnEveryBackend) {
-  for (int n = 1; n <= 4; ++n) {
-    const int max_degree = n <= 3 ? 3 : 2;
+  for (int n = 1; n <= 6; ++n) {
+    // Degree 3 for n <= 3, 2 for n = 4, and 1 (partial permutations)
+    // for n <= 6.
+    const int max_degree = n <= 3 ? 3 : n == 4 ? 2 : 1;
     for (int d = 1; d <= n; ++d) {
       if (n % d != 0) continue;
       const Topology topo(d, n / d);
@@ -194,16 +155,18 @@ POPS_TEST(EveryLowDegreeHRelationRoutesAtItsExactLengthOnEveryBackend) {
               const int slots =
                   engine.route_h_relation(relation).slot_count();
               const HRelationPlan plan = h_relation_plan(engine);
-              EXPECT_TRUE(plan.h <= max_degree);
+              EXPECT_EQ(plan.h, relation_degree(n, relation));
               EXPECT_EQ(slots,
                         testing::expected_plan_slots(topo, relation, plan));
               EXPECT_EQ(verify_h_relation(topo, relation, plan), "");
               EXPECT_TRUE(slots >= moved_packet_bound(topo, relation));
             });
         // n x n count matrices with every row and column sum at most
-        // max_degree.
+        // max_degree; at degree 1, the partial permutations.
         if (n == 3) EXPECT_EQ(relations, 3380);
         if (n == 4) EXPECT_EQ(relations, 12951);
+        if (n == 5) EXPECT_EQ(relations, 1546);
+        if (n == 6) EXPECT_EQ(relations, 13327);
       }
     }
   }
