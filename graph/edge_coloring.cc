@@ -412,7 +412,8 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
     if (sizes_[as_size(a)] - sizes_[as_size(b)] <= 1) break;
     slot_a_.resize(as_size(vertex_count));
     slot_b_.resize(as_size(vertex_count));
-    spread_path_.reserve(as_size(edge_count));
+    // A path of the a/b subgraph visits each vertex at most once.
+    spread_path_.reserve(as_size(vertex_count));
 
     // Build the a/b two-colored subgraph: at most one edge of each
     // class per vertex, so components are paths and even cycles.
@@ -432,17 +433,19 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
     // more a-edge than b-edges. The a/b components are vertex-disjoint,
     // so we can flip several such paths in one scan — up to gap/2 of
     // them, which leaves the pair balanced instead of paying a full
-    // subgraph rebuild per single edge moved.
+    // subgraph rebuild per single edge moved. Walks start only at path
+    // endpoints, so marking each walked path's far endpoint keeps the
+    // scan from walking it again from the other end.
     int flips_left = (sizes_[as_size(a)] - sizes_[as_size(b)]) / 2;
     bool flipped = false;
-    walked_.assign(as_size(edge_count), 0);
+    walked_.assign(as_size(vertex_count), 0);
     for (int start = 0; start < vertex_count && flips_left > 0;
          ++start) {
       const bool has_a = slot_a_[as_size(start)] >= 0;
       const bool has_b = slot_b_[as_size(start)] >= 0;
       if (has_a == has_b) continue;  // not a path endpoint
       if (!has_a) continue;  // paths with extra a-edges start on a
-      if (walked_[as_size(slot_a_[as_size(start)])] != 0) continue;
+      if (walked_[as_size(start)] != 0) continue;
       int vertex = start;
       int want_a = 1;
       spread_path_.clear();
@@ -452,12 +455,12 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
         if (e < 0) break;
         if (!spread_path_.empty() && e == spread_path_.back()) break;
         spread_path_.push_back(e);
-        walked_[as_size(e)] = 1;
         const int u = graph.edge(e).left;
         const int v = graph.left_count() + graph.edge(e).right;
         vertex = vertex == u ? v : u;
         want_a = 1 - want_a;
       }
+      walked_[as_size(vertex)] = 1;
       if (spread_path_.size() % 2 == 0) continue;  // balanced path
       for (const int e : spread_path_) {
         coloring.color[as_size(e)] =
@@ -505,32 +508,44 @@ void EdgeColorer::split_into_empty_classes(int edge_count, int num_classes,
   }
 }
 
-void EdgeColorer::reserve(int vertices, int edges, int max_degree) {
+void EdgeColorer::reserve(int vertices, int max_degree,
+                          ColoringAlgorithm algorithm) {
   const std::size_t side = as_size(vertices);
-  // Both the alternating-path slot tables (vertex * delta) and the
-  // padded regular edge array (delta * max side) hold this many.
+  // The alternating-path slot tables (vertex * delta) and the padded
+  // regular edge array (delta * max side) both hold this many.
   const std::size_t padded = side * as_size(max_degree);
-  left_slot_.reserve(padded);
-  right_slot_.reserve(padded);
-  path_.reserve(2 * side);
+  switch (algorithm) {
+    case ColoringAlgorithm::kAlternatingPath:
+      left_slot_.reserve(padded);
+      right_slot_.reserve(padded);
+      path_.reserve(2 * side);
+      return;
+    case ColoringAlgorithm::kEulerSplit:
+      dc_edges_.reserve(padded);
+      dc_work_.reserve(padded);
+      dc_aux_.reserve(padded);
+      dc_partner_.reserve(padded);
+      dc_pending_.reserve(side);
+      dc_deg_left_.reserve(side);
+      dc_deg_right_.reserve(side);
+      dc_stack_.reserve(kDncStackCapacity);
+      dc_match_left_.reserve(side);
+      dc_match_right_.reserve(side);
+      dc_walk_.reserve(side);
+      dc_walk_at_.reserve(side);
+      return;
+  }
+  POPS_CHECK(false, "unknown ColoringAlgorithm");
+}
+
+void EdgeColorer::reserve_spread(int vertices) {
+  const std::size_t side = as_size(vertices);
   sizes_.reserve(side);
   split_fill_.reserve(side);
   slot_a_.reserve(2 * side);
   slot_b_.reserve(2 * side);
-  walked_.reserve(as_size(edges));
-  spread_path_.reserve(as_size(edges));
-  dc_edges_.reserve(padded);
-  dc_work_.reserve(padded);
-  dc_aux_.reserve(padded);
-  dc_partner_.reserve(padded);
-  dc_pending_.reserve(side);
-  dc_deg_left_.reserve(side);
-  dc_deg_right_.reserve(side);
-  dc_stack_.reserve(kDncStackCapacity);
-  dc_match_left_.reserve(side);
-  dc_match_right_.reserve(side);
-  dc_walk_.reserve(side);
-  dc_walk_at_.reserve(side);
+  walked_.reserve(2 * side);
+  spread_path_.reserve(2 * side);
 }
 
 std::size_t EdgeColorer::scratch_capacity() const {

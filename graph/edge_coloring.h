@@ -84,12 +84,16 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   void spread(const BipartiteMultigraph& graph, int num_classes,
               EdgeColoring& coloring);
 
-  /// Sizes every scratch table up front for graphs with at most
-  /// `vertices` vertices a side, `edges` edges and maximum degree
-  /// `max_degree`, colored by either backend, and for spreading them onto
-  /// at most `vertices` classes. Later calls within those bounds never
-  /// grow the colorer, whichever path their input takes through it.
-  void reserve(int vertices, int edges, int max_degree);
+  /// Sizes the scratch tables of `algorithm`, and only those, for
+  /// graphs with at most `vertices` vertices a side and maximum degree
+  /// at most `max_degree`: coloring such a graph with that backend then
+  /// never grows the colorer.
+  void reserve(int vertices, int max_degree, ColoringAlgorithm algorithm);
+
+  /// Sizes spread()'s tables for graphs with at most `vertices`
+  /// vertices a side, spread onto at most `vertices` classes: such a
+  /// spread then never grows the colorer.
+  void reserve_spread(int vertices);
 
   /// Capacity snapshot for the zero-allocation tests.
   std::size_t scratch_capacity() const;
@@ -129,13 +133,14 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::vector<int> left_slot_;
   std::vector<int> right_slot_;
   std::vector<int> path_;
-  // spread() scratch.
+  // spread() scratch. The vertex arrays index left vertices first,
+  // then right ones.
   std::vector<int> sizes_;
   std::vector<int> slot_a_;
   std::vector<int> slot_b_;
-  std::vector<char> walked_;
-  std::vector<int> spread_path_;
-  std::vector<int> split_fill_;  // per class: the empty class it fills
+  std::vector<char> walked_;      // per vertex: far end of a walked path
+  std::vector<int> spread_path_;  // one path's edges, one per vertex at most
+  std::vector<int> split_fill_;   // per class: the empty class it fills
   // Divide-and-conquer scratch: the padded regularized edge array and
   // the flat per-position arrays the range kernels index into.
   int regular_n_ = 0;            // padded per-side vertex count

@@ -137,7 +137,6 @@ void Network::load_packet(Packet packet) {
 }
 
 bool Network::execute(const FlatSchedule& schedule) {
-  ScopedAllocationBan ban("Network::execute", steady_banned_);
   for (int s = 0; s < schedule.slot_count(); ++s) {
     if (!execute_slot(schedule.slot(s))) return false;
   }

@@ -23,7 +23,9 @@
 // the first checks every rule and resolves each sender's packet, the
 // second moves the packets. Slot bookkeeping lives in stamped scratch
 // arrays, so executing unicast traffic performs no heap allocation
-// once the records are sized.
+// once the records are sized. execute() arms no allocation ban of its
+// own: both owners, the RoutingEngine's routes and
+// TrafficServer::execute_window, hold one around every call.
 #pragma once
 
 #include <limits>
@@ -208,19 +210,12 @@ class POPS_THREAD_COMPATIBLE Network {
   /// demand cap so steady-state serving is allocation-free.
   void reserve_packets(int count);
 
-  /// Arms a ScopedAllocationBan around every subsequent execute()
-  /// call: once the owner has warmed/reserved the records, any heap
-  /// allocation while executing a schedule aborts under
-  /// POPS_ALLOC_GUARD builds. The RoutingEngine and TrafficServer arm
-  /// their internal simulators after their first verified run.
-  void ban_steady_allocations(bool banned) { steady_banned_ = banned; }
-
  private:
   /// Records the first failure and returns false. The message parts
   /// are formatted lazily, under a ScopedAllocationAllow: composing a
-  /// rejection diagnostic allocates, and that must not trip an armed
-  /// execute() ban — the caller wants the model violation reported,
-  /// not the guard.
+  /// rejection diagnostic allocates, and that must not trip the ban the
+  /// owner holds around execute() — the caller wants the model
+  /// violation reported, not the guard.
   template <typename... Parts>
   bool fail(const Parts&... parts) {
     if (failure_.empty()) {
@@ -272,7 +267,6 @@ class POPS_THREAD_COMPATIBLE Network {
   int id_count_ = 0;  // distinct ids indexed
   NetworkStats stats_;
   std::string failure_;
-  bool steady_banned_ = false;
 
   // Per-slot scratch arenas. An entry is valid only when its stamp
   // equals epoch_ (bumped once per execute_slot), so no clearing pass

@@ -9,12 +9,11 @@ BatchRouter::BatchRouter(const Topology& topo,
     : topo_(topo) {
   POPS_CHECK(config.threads >= 1, "BatchRouter needs at least one thread");
   engines_.reserve(as_size(config.threads));
-  // Warm every engine on the launching thread, before any worker
-  // exists: one kBest route sizes both builders and the verification
-  // simulator, so all arenas reach their steady-state shapes (which
-  // depend only on the topology, not on the permutation) and every
-  // strategy, verified or not, arms the engine's own allocation ban.
-  // Workers then inherit engines that never allocate again.
+  // Build every engine on the launching thread, before any worker
+  // exists. Construction sizes every routing arena from the topology;
+  // one kBest route, which always verifies, then builds the engine's
+  // simulator, so the footprint is final before any batch and workers
+  // inherit engines that never allocate again.
   const Permutation warm_up = Permutation::identity(topo.processor_count());
   for (int i = 0; i < config.threads; ++i) {
     engines_.emplace_back(topo_, config.engine);

@@ -1,5 +1,5 @@
 // BatchRouter: a fixed pool of worker threads routing many independent
-// permutations concurrently, one warm RoutingEngine confined to each
+// permutations concurrently, one RoutingEngine confined to each
 // worker.
 //
 // Mei & Rizzi's construction is embarrassingly parallel across
@@ -7,8 +7,8 @@
 // cores as long as no engine state is shared. The pool enforces the
 // one-engine-per-thread confinement discipline the thread-safety layer
 // (support/mutex.h, POPS_THREAD_COMPATIBLE) was built around: every
-// engine is constructed and warmed up front, workers only ever touch
-// their own engine, and all cross-thread traffic is batch indices.
+// engine is constructed up front, workers only ever touch their own
+// engine, and all cross-thread traffic is batch indices.
 // After construction the router itself allocates nothing: work is
 // handed out through one atomic counter, and results are copied into
 // caller-provided FlatSchedules (which stop allocating once their
@@ -43,9 +43,10 @@ struct BatchRouterConfig {
 
 class BatchRouter {
  public:
-  /// Builds and warms one engine per worker (one kBest route of a
-  /// warm-up permutation sizes every arena, including the verification
-  /// simulator), then starts the workers. All allocation happens here.
+  /// Builds one engine per worker, which sizes every routing arena,
+  /// and routes one kBest warm-up permutation on each, which builds its
+  /// verification simulator; then starts the workers. All allocation
+  /// happens here.
   explicit BatchRouter(const Topology& topo,
                        const BatchRouterConfig& config = {});
   /// Stops and joins the workers.

@@ -20,25 +20,35 @@ RoutingEngine::RoutingEngine(const Topology& topo,
       options_(options),
       h_(topo.g(), topo.g()) {
   const int n = topo_.processor_count();
+  const int d = topo_.d();
+  const int g = topo_.g();
   // A schedule holds up to two transmissions per packet, counted in
   // ints.
   POPS_CHECK(n <= std::numeric_limits<int>::max() / 2,
              "RoutingEngine: POPS(d, g) needs 2 * d * g to fit an int");
-  // Pre-size everything whose final size is known from (d, g) alone,
-  // so even the first route call grows as little as possible and the
-  // steady state cannot grow at all.
-  intermediate_of_.assign(as_size(n), -1);
-  batch_packets_.reserve(as_size(n));
-  used_of_group_.reserve(as_size(topo_.g()));
-  // Theorem 2 sends every packet twice; a direct schedule sends it
-  // once, and one coupler carries at most the d packets of one group.
-  schedule_.reserve(2 * n, std::max(theorem2_slots(topo_), topo_.d()));
-  // A direct route arms its ban once the packet list is sized, even if
-  // only Theorem 2 routes came before, so measure()'s table is sized here.
-  group_load_.reserve(as_size(2 * topo_.g()));
+  // Every arena a permutation route touches, sized exactly from (d, g),
+  // so every route bans allocation from its first call.
+  packets_.reserve(as_size(n));
+  group_load_.reserve(as_size(2 * g));
   coupler_count_.reserve(as_size(topo_.coupler_count()));
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
+  intermediate_of_.assign(as_size(n), -1);
+  if (d > 1) {
+    // Theorem 2 colors H, d-regular on g + g vertices with n edges,
+    // with the configured backend, batches its packets, and spreads
+    // the coloring onto g classes when g > d. With d == 1 it sends
+    // every packet in one slot and touches none of this.
+    h_.reserve_edges(n);
+    coloring_.color.reserve(as_size(n));
+    colorer_.reserve(g, d, options_.coloring);
+    if (g > d) colorer_.reserve_spread(g);
+    batch_packets_.reserve(as_size(n));
+    used_of_group_.reserve(as_size(g));
+  }
+  // Theorem 2 sends every packet twice; a direct schedule sends it
+  // once, and one coupler carries at most the d packets of one group.
+  schedule_.reserve(2 * n, std::max(theorem2_slots(topo_), d));
   image_seen_stamp_.assign(as_size(n), 0);
 }
 
@@ -49,17 +59,11 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
                  strategy == RouteStrategy::kTheorem2 ||
                  strategy == RouteStrategy::kBest,
              "route: unknown RouteStrategy");
-  const bool verify = options.verify || strategy == RouteStrategy::kBest;
-  // A direct route needs only the packet list sized; the first
-  // kTheorem2 or kBest route sizes the Theorem 2 arenas.
-  const bool warm = strategy == RouteStrategy::kDirect ? !packets_.empty()
-                                                       : warm_theorem2_;
-  ScopedAllocationBan ban("RoutingEngine::route",
-                          warm && (!verify || warm_verify_));
+  ScopedAllocationBan ban("RoutingEngine::route");
   // The Permutation constructor already validated bijectivity.
   load_permutation(Span<const int>(pi.images()));
   emit_permutation(strategy);
-  if (verify) verify_or_abort(pi);
+  if (options.verify || strategy == RouteStrategy::kBest) verify_or_abort(pi);
   return schedule_;
 }
 
@@ -70,7 +74,7 @@ const FlatSchedule& RoutingEngine::route_permutation(
 
 const FlatSchedule& RoutingEngine::route_permutation(
     Span<const int> images) {
-  ScopedAllocationBan ban("RoutingEngine::route_permutation", warm_theorem2_);
+  ScopedAllocationBan ban("RoutingEngine::route_permutation");
   const int n = topo_.processor_count();
   POPS_CHECK(images.count() == n,
              "route_permutation: image array does not fit the topology");
@@ -96,6 +100,10 @@ void RoutingEngine::load_permutation(Span<const int> images) {
   const int n = topo_.processor_count();
   POPS_CHECK(images.count() == n,
              "route: permutation does not fit the topology");
+  // The packets and the schedule of the last h-relation are about to be
+  // overwritten, so its phases go too.
+  traffic_coloring_.num_colors = 0;
+  phase_slot_offsets_.clear();
   packets_.resize(as_size(n));
   Transmission* packet = packets_.data();
   const int* image = images.data();
@@ -106,17 +114,10 @@ void RoutingEngine::load_permutation(Span<const int> images) {
 
 void RoutingEngine::emit_permutation(RouteStrategy strategy) {
   schedule_.clear();
-  if (strategy == RouteStrategy::kBest && !warm_theorem2_) {
-    // The first kBest route builds Theorem 2 once, whichever schedule it
-    // returns: one build sizes its arenas, which depend on (d, g) alone.
-    build_theorem2(packets_, schedule_);
-    schedule_.clear();
-  }
   last_strategy_ = emit(packets_, strategy, schedule_, direct_max_demand_);
   POPS_CHECK(last_strategy_ == RouteStrategy::kDirect ||
                  schedule_.slot_count() == theorem2_slots(topo_),
              "Theorem 2 schedule has the wrong number of slots");
-  if (strategy != RouteStrategy::kDirect) warm_theorem2_ = true;
 }
 
 RouteStrategy RoutingEngine::emit(Span<const Transmission> packets,
@@ -293,20 +294,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
                  as_size(std::numeric_limits<int>::max() / 2),
              "route_h_relation: more than INT_MAX / 2 requests");
   const int n = topo_.processor_count();
-  const int d = topo_.d();
-  const int g = topo_.g();
   const int count = requests.count();
-  if (!phase_arenas_sized_) {
-    // A phase builds H (g vertices a side, at most n edges, degree at
-    // most d), colors it with the configured backend or with
-    // alternating path by its size, and spreads it onto g classes when
-    // g > d. Sizing all of that from (d, g) up front keeps the schedule
-    // a phase takes from deciding whether a later relation allocates.
-    h_.reserve_edges(n);
-    coloring_.color.reserve(as_size(n));
-    colorer_.reserve(g, n, d);
-    phase_arenas_sized_ = true;
-  }
 
   // The traffic multigraph: one edge per request, processor to
   // processor, so the edge id is the request id.
@@ -321,7 +309,9 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   }
   // König: h colors, h the maximum degree. The traffic is irregular,
   // so alternating path colors it directly, where a divide-and-conquer
-  // backend would first pad it to h-regular on n + n vertices.
+  // backend would first pad it to h-regular on n + n vertices. This
+  // sizes the alternating-path tables for n * h slots a side, at least
+  // the g * d an irregular phase H can need.
   colorer_.color(traffic_, ColoringAlgorithm::kAlternatingPath,
                  traffic_coloring_);
   const int h = traffic_coloring_.num_colors;
@@ -338,11 +328,11 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   for (int c = 0; c < h; ++c) {
     phase_offsets_[as_size(c + 2)] += phase_offsets_[as_size(c + 1)];
   }
-  phase_packets_.resize(as_size(count));
+  packets_.resize(as_size(count));
   for (int e = 0; e < count; ++e) {
     const int c = traffic_coloring_.color[as_size(e)];
     const Request& request = requests[as_size(e)];
-    phase_packets_[as_size(phase_offsets_[as_size(c + 1)]++)] =
+    packets_[as_size(phase_offsets_[as_size(c + 1)]++)] =
         Transmission{request.source, request.destination, e};
   }
   phase_offsets_.pop_back();
@@ -353,17 +343,17 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   // relation no larger in either does not grow the schedule.
   const long long max_slots = std::min<long long>(
       static_cast<long long>(h) * theorem2_slots(topo_), count);
-  h_schedule_.clear();
-  h_schedule_.reserve(2 * count, static_cast<int>(max_slots));
+  schedule_.clear();
+  schedule_.reserve(2 * count, static_cast<int>(max_slots));
   phase_slot_offsets_.assign(1, 0);
   int phase_demand = 0;  // direct_max_demand() reports permutations only
   for (int c = 0; c < h; ++c) {
     // By properness the phase is a partial permutation, so both
     // builders take its packets as they are.
-    emit(phase_packets(c), RouteStrategy::kBest, h_schedule_, phase_demand);
-    phase_slot_offsets_.push_back(h_schedule_.slot_count());
+    emit(phase_packets(c), RouteStrategy::kBest, schedule_, phase_demand);
+    phase_slot_offsets_.push_back(schedule_.slot_count());
   }
-  return h_schedule_;
+  return schedule_;
 }
 
 Span<const Transmission> RoutingEngine::phase_packets(int phase) const {
@@ -371,22 +361,20 @@ Span<const Transmission> RoutingEngine::phase_packets(int phase) const {
              "phase_packets: phase out of range");
   const int lo = phase_offsets_[as_size(phase)];
   const int hi = phase_offsets_[as_size(phase + 1)];
-  return Span<const Transmission>(phase_packets_.data() + lo,
-                                  as_size(hi - lo));
+  return Span<const Transmission>(packets_.data() + lo, as_size(hi - lo));
 }
 
 void RoutingEngine::verify_or_abort(const Permutation& pi) {
   if (!net_.has_value()) {
-    // Constructing the simulator is the one allocating step of the
-    // verify path; it happens exactly once, on an unbanned call.
+    // Constructing the simulator, which sizes it for permutation
+    // traffic, is the one allocating step of the verify path; it
+    // happens exactly once.
     ScopedAllocationAllow allow;
     net_.emplace(topo_);
   }
   net_->reset();
   net_->load_permutation_traffic(pi);
   const bool delivered = net_->execute(schedule_) && net_->all_delivered();
-  warm_verify_ = true;
-  net_->ban_steady_allocations(true);
   if (delivered) return;
   // Cold failure path: composing the diagnostic allocates, and the
   // abort must name the broken schedule, not trip the guard.
@@ -411,9 +399,7 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
       image_seen_stamp_.capacity() +
       (net_.has_value() ? net_->scratch_capacity() : 0) +
       traffic_.scratch_capacity() + traffic_coloring_.color.capacity() +
-      phase_offsets_.capacity() + phase_packets_.capacity() +
-      phase_slot_offsets_.capacity() + h_schedule_.transmission_capacity() +
-      h_schedule_.slot_capacity();
+      phase_offsets_.capacity() + phase_slot_offsets_.capacity();
   return footprint;
 }
 

@@ -10,7 +10,7 @@
 //
 // per permutation; many-permutation throughput callers use
 // BatchRouter::route_batch (routing/batch_router.h), which confines
-// one warm engine to each worker thread. h-relations go through
+// one engine to each worker thread. h-relations go through
 // route_h_relation, which TrafficServer calls once per window and the
 // free route_h_relation (routing/h_relation.h) wraps.
 //
@@ -42,21 +42,29 @@
 //
 // The engine owns every intermediate object — the packet list, the
 // packet multigraphs, the edge colorings, the batch list, the coupler
-// queues of the direct builder, the verification Network, the
-// permutation schedule and the h-relation schedule — and rebuilds them
-// in place per route. The direct builder's arenas are reserved at
-// construction, and the first kBest route sizes the rest: it builds
-// Theorem 2 once, whichever schedule it returns, and verifies. From
-// then on routing a permutation performs no heap allocation (asserted
-// by tests that compare scratch_footprint() across calls) with every
-// coloring backend.
+// queues of the direct builder, the verification Network and the
+// schedule — and rebuilds them in place per route. Theorem 2 is
+// oblivious: for a fixed POPS(d, g), H has g vertices a side and n
+// edges and is d-regular, so (d, g) alone sizes every arena a
+// permutation route touches, and the constructor reserves each one
+// exactly, for the configured coloring backend only. So an engine is
+// warm once constructed: every permutation route bans allocation on
+// itself from its first call, with every backend, and no route grows
+// an arena (asserted by tests that compare scratch_footprint() with
+// the footprint at construction). The verification simulator is the
+// one arena built later, by the first verifying route, under an
+// allowance: unverified routes never touch it.
 //
-// An h-relation has no fixed shape: the traffic multigraph, the phase
-// arrays and the window schedule grow with the request count and the
-// degree h. They stay empty until the first route_h_relation call,
-// which also sizes every arena a phase can touch from (d, g) alone, so
-// a later relation with no more requests and no higher degree
-// allocates nothing, whichever construction its phases take.
+// The permutation routes and route_h_relation share one packet list
+// and one schedule: schedule() is the last schedule any route built.
+// An h-relation has no fixed shape: the traffic multigraph and the
+// phase arrays grow with the request count and the degree h, and so
+// do the shared packet list and schedule once a relation outgrows a
+// permutation. Every phase runs on arenas sized already: the
+// constructor's, and the alternating-path tables the relation's own
+// traffic coloring sized, at least n * h. So a relation with no more
+// requests and no higher degree than one routed before allocates
+// nothing, whichever construction its phases take.
 #pragma once
 
 #include <iosfwd>
@@ -111,13 +119,12 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// options.verify executes the schedule on the internal strict
   /// simulator and aborts on any violation; kBest always verifies the
   /// schedule it returns. The coloring backend is fixed at
-  /// construction (RouterOptions). The returned reference stays valid
-  /// until the next permutation route on this engine.
+  /// construction (RouterOptions). Returns schedule(), valid until the
+  /// next route of any kind on this engine.
   ///
-  /// Allocation-free, and arming a ScopedAllocationBan on itself, once
-  /// the engine has routed any permutation (for kDirect) or run a
-  /// kTheorem2 or kBest route (for the others), and a verifying route
-  /// when this one verifies: one kBest route covers all of them.
+  /// Allocation-free from the first call, under a ScopedAllocationBan
+  /// of its own; the first verifying route builds the simulator under
+  /// an allowance.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
@@ -126,9 +133,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   RouteStrategy last_strategy() const { return last_strategy_; }
 
   /// route(pi, {RouteStrategy::kTheorem2}). The returned reference
-  /// stays valid until the next permutation route on this engine, and
-  /// intermediate_of() until the next route of any kind (a Theorem 2
-  /// phase of an h-relation writes it too).
+  /// and intermediate_of() stay valid until the next route of any kind
+  /// on this engine (an h-relation rewrites the schedule, and its
+  /// Theorem 2 phases rewrite intermediate_of()).
   const FlatSchedule& route_permutation(const Permutation& pi);
 
   /// Same schedule for a permutation given as its raw image array
@@ -179,22 +186,24 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// degree (see the header comment); no ScopedAllocationBan is armed
   /// here, because that bound depends on the relation, so callers that
   /// know their largest relation arm one (the TrafficServer's window
-  /// ban). The returned reference and the phase accessors stay valid
-  /// until the next route_h_relation call; the permutation routes do
-  /// not touch them.
+  /// ban). Returns schedule(); it and the phase accessors stay valid
+  /// until the next route of any kind, and a permutation route empties
+  /// the phase view.
   const FlatSchedule& route_h_relation(Span<const Request> requests);
-  /// The schedule of the last route_h_relation (empty before the
-  /// first).
-  const FlatSchedule& h_relation_schedule() const { return h_schedule_; }
-  /// Phases of the last route_h_relation: its degree h.
+  /// The last schedule any route built: a permutation's, named by
+  /// source, or the last route_h_relation's, named by request id.
+  /// Empty before the first route.
+  const FlatSchedule& schedule() const { return schedule_; }
+  /// Phases of the last route_h_relation: its degree h. 0 before the
+  /// first and after a permutation route.
   int phase_count() const { return traffic_coloring_.num_colors; }
   /// Packets of phase `phase` of the last route_h_relation, in
   /// ascending request id: each names its request's source and
   /// destination, and its packet id is the request id.
   Span<const Transmission> phase_packets(int phase) const;
-  /// h + 1 slot offsets into h_relation_schedule(): phase c occupies
-  /// slots [offsets[c], offsets[c + 1]). Empty before the first
-  /// route_h_relation.
+  /// h + 1 slot offsets into schedule(): phase c occupies slots
+  /// [offsets[c], offsets[c + 1]). Empty before the first
+  /// route_h_relation and after a permutation route.
   Span<const int> phase_slot_offsets() const { return phase_slot_offsets_; }
 
   ScratchFootprint scratch_footprint() const;
@@ -224,30 +233,26 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
                     FlatSchedule& out);
   void build_theorem2(Span<const Transmission> packets, FlatSchedule& out);
   /// The permutation path: load_permutation fills packets_ with all n
-  /// packets, named by source, and emit_permutation emits them into
-  /// schedule_ and records the builder, M and the warm flag.
+  /// packets, named by source, and empties the phase view;
+  /// emit_permutation emits them into schedule_ and records the
+  /// builder and M.
   void load_permutation(Span<const int> images);
   void emit_permutation(RouteStrategy strategy);
   /// Executes schedule_ on the internal simulator under permutation
   /// traffic pi and aborts with the simulator's diagnostic unless it
-  /// delivers every packet. Allocation-free once the simulator is warm.
+  /// delivers every packet. Builds the simulator on its first call,
+  /// under an allowance.
   void verify_or_abort(const Permutation& pi);
 
   Topology topo_;
   RouterOptions options_;
 
-  // The first route that may build Theorem 2 sizes its arenas, and the
-  // first verifying route the simulator's; once every arena a route may
-  // touch is warm, the entry point arms a ScopedAllocationBan on
-  // itself, so the steady-state contract is enforced at runtime rather
-  // than inferred from footprint snapshots.
-  bool warm_theorem2_ = false;
-  bool warm_verify_ = false;
-  bool phase_arenas_sized_ = false;
-
-  // --- Shared by both builders ---
-  std::vector<Transmission> packets_;  // the permutation's packet list
-  std::vector<int> group_load_;        // sends per group, then receives
+  // --- Shared by both builders and by every route ---
+  // The packet list: a permutation's n packets, or an h-relation's
+  // requests bucketed by phase (CSR), phase c holding
+  // packets_[phase_offsets_[c] .. phase_offsets_[c + 1]).
+  std::vector<Transmission> packets_;
+  std::vector<int> group_load_;  // sends per group, then receives
 
   // --- Theorem 2 scratch ---
   BipartiteMultigraph h_;  // the packet multigraph H (g x g)
@@ -258,8 +263,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::vector<int> batch_packets_;  // one batch's packet indices
   std::vector<int> used_of_group_;  // intermediates taken per group
   std::vector<int> intermediate_of_;  // by source processor
-  // The last permutation schedule, from either builder: at most 2n
-  // transmissions over max(theorem2_slots, d) slots.
+  // The last schedule any route built. A permutation's holds at most
+  // 2n transmissions over max(theorem2_slots, d) slots.
   FlatSchedule schedule_;
   // Bijectivity check of the Span overload: seen[v] is valid only when
   // stamped with the current validation epoch, so no clearing pass.
@@ -285,12 +290,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   // lands in traffic_coloring_.
   BipartiteMultigraph traffic_{0, 0};  // n x n, edge id == request id
   EdgeColoring traffic_coloring_;      // h colors, one per phase
-  // Packets bucketed by phase (CSR): phase c holds
-  // phase_packets_[phase_offsets_[c] .. phase_offsets_[c + 1]).
-  std::vector<int> phase_offsets_;
-  std::vector<Transmission> phase_packets_;
-  std::vector<int> phase_slot_offsets_;  // h + 1 entries
-  FlatSchedule h_schedule_;  // packets named by request id
+  std::vector<int> phase_offsets_;       // h + 1 entries into packets_
+  std::vector<int> phase_slot_offsets_;  // h + 1 entries into schedule_
 };
 
 }  // namespace pops

@@ -15,7 +15,7 @@ int HRelationPlan::total_slots() const {
 }
 
 HRelationPlan h_relation_plan(const RoutingEngine& engine) {
-  const FlatSchedule& schedule = engine.h_relation_schedule();
+  const FlatSchedule& schedule = engine.schedule();
   const Span<const int> slot_offsets = engine.phase_slot_offsets();
   HRelationPlan plan;
   plan.h = engine.phase_count();

@@ -66,6 +66,10 @@ TrafficServer::TrafficServer(const Topology& topo,
   const int n = topo_.processor_count();
   send_count_.assign(as_size(n), 0);
   recv_count_.assign(as_size(n), 0);
+  // Every window executes under the allocation ban. With
+  // debug_shrink_reserves the arenas are neither reserved nor primed,
+  // so under POPS_ALLOC_GUARD the first window must trip the guard —
+  // the seeded violation the negative tests rely on.
   if (!config_.debug_shrink_reserves) {
     demands_.reserve(as_size(config_.max_window_demands));
     requests_.reserve(as_size(config_.max_window_demands));
@@ -74,19 +78,13 @@ TrafficServer::TrafficServer(const Topology& topo,
     net_.reserve_packets(config_.max_window_demands);
     prime_scratch();
   }
-  // From here on every window executes under the allocation ban. With
-  // debug_shrink_reserves the arenas were neither reserved nor primed,
-  // so under POPS_ALLOC_GUARD the first window must trip the guard —
-  // the seeded violation the negative tests rely on.
-  steady_ = true;
-  net_.ban_steady_allocations(!config_.debug_shrink_reserves);
 }
 
 void TrafficServer::prime_scratch() {
   // Drive one synthetic worst-shape window through the full serving
-  // path, then zero the counters. The engine sizes every arena a phase
-  // can touch from (d, g) on its first relation, whichever schedule
-  // each phase takes; the rest grows with the window's request count
+  // path, under an allowance that lifts the window ban, then zero the
+  // counters. The engine's constructor sized every arena a phase can
+  // touch from (d, g); the rest grows with the window's request count
   // and degree. Processor p sends to p + r + 1 (mod n) for r < h, so no
   // processor sends or receives more than h, and processor 0 goes
   // first: the window holds the most requests a window can (the
@@ -94,6 +92,7 @@ void TrafficServer::prime_scratch() {
   // degree cap). Every later window has no more requests and no
   // higher degree, so steady-state serving starts allocation-free
   // instead of allocation-free-after-warm-up.
+  ScopedAllocationAllow allow;
   const int n = topo_.processor_count();
   const int h = config_.max_window_degree;
   const long long widest = std::min<long long>(
@@ -159,10 +158,9 @@ void TrafficServer::flush() {
 void TrafficServer::execute_window() {
   if (demands_.empty()) return;
   // The whole window pipeline — decomposition, per-phase routing,
-  // simulation, counters — runs under the ban once the constructor
-  // primed the arenas: any steady-state allocation aborts in
-  // POPS_ALLOC_GUARD builds.
-  ScopedAllocationBan ban("TrafficServer::execute_window", steady_);
+  // simulation, counters — runs under the ban: the constructor primed
+  // the arenas, so any allocation aborts in POPS_ALLOC_GUARD builds.
+  ScopedAllocationBan ban("TrafficServer::execute_window");
   const int h = window_degree_;
   const int demand_count = pending_demands_locked();
 

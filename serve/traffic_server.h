@@ -21,12 +21,12 @@
 // Ownership follows the RoutingEngine discipline: the server owns its
 // window arrays, the engine (which owns every routing intermediate)
 // and the simulator, and rebuilds them in place per window. The
-// constructor primes them with one worst-shape window, with both the
-// most requests and the most phases a window can hold, so the engine's
-// h-relation arenas start at their largest size.
-// scratch_footprint() is the aggregate capacity the soak tests compare
-// across thousands of windows; under POPS_ALLOC_GUARD builds the
-// contract is additionally enforced at runtime: every post-priming
+// constructor primes them, under a ScopedAllocationAllow, with one
+// worst-shape window, with both the most requests and the most phases
+// a window can hold, so the engine's h-relation arenas start at their
+// largest size. scratch_footprint() is the aggregate capacity the soak
+// tests compare across thousands of windows; under POPS_ALLOC_GUARD
+// builds the contract is additionally enforced at runtime: every
 // window executes inside a ScopedAllocationBan.
 //
 // Unlike the engines below it, the server IS thread-safe: all mutable
@@ -64,10 +64,10 @@ struct ServerConfig {
   /// RoutingEngine::route_h_relation).
   RouterOptions router;
   /// Test-only hook: skip the constructor's arena reserves and priming
-  /// window but still arm the steady-state allocation ban. Under
-  /// POPS_ALLOC_GUARD the first real window then trips the guard —
-  /// the seeded violation test_alloc_guard uses to prove the ban is
-  /// live. Never set this in production code.
+  /// window. Every window still runs under the allocation ban, so under
+  /// POPS_ALLOC_GUARD the first real window trips the guard — the
+  /// seeded violation test_alloc_guard uses to prove the ban is live.
+  /// Never set this in production code.
   bool debug_shrink_reserves = false;
 };
 
@@ -173,7 +173,7 @@ class TrafficServer {
   /// Slot count of the last executed window.
   int last_window_slots() const POPS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return engine_.h_relation_schedule().slot_count();
+    return engine_.schedule().slot_count();
   }
 
   /// Debug/verification accessors: the last executed window as the
@@ -223,11 +223,6 @@ class TrafficServer {
   std::vector<Request> requests_ POPS_GUARDED_BY(mu_);
   RoutingEngine engine_ POPS_GUARDED_BY(mu_);
   Network net_ POPS_GUARDED_BY(mu_);
-
-  // Armed after priming: every later execute_window runs inside a
-  // ScopedAllocationBan (POPS_ALLOC_GUARD builds abort on any heap
-  // allocation there).
-  bool steady_ POPS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace pops

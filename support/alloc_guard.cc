@@ -73,19 +73,15 @@ AllocationCounter thread_allocation_counter() {
 
 bool allocation_ban_active() { return ban_active(); }
 
-ScopedAllocationBan::ScopedAllocationBan(const char* scope, bool armed)
-    : previous_scope_(tl_ban_scope), armed_(armed) {
-  if (armed_) {
-    ++tl_ban_depth;
-    tl_ban_scope = scope;
-  }
+ScopedAllocationBan::ScopedAllocationBan(const char* scope)
+    : previous_scope_(tl_ban_scope) {
+  ++tl_ban_depth;
+  tl_ban_scope = scope;
 }
 
 ScopedAllocationBan::~ScopedAllocationBan() {
-  if (armed_) {
-    --tl_ban_depth;
-    tl_ban_scope = previous_scope_;
-  }
+  --tl_ban_depth;
+  tl_ban_scope = previous_scope_;
 }
 
 ScopedAllocationAllow::ScopedAllocationAllow() { ++tl_allow_depth; }

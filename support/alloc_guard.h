@@ -5,9 +5,10 @@
 // hooks that keep per-thread counters and honor an RAII
 // `ScopedAllocationBan`: any heap allocation on a thread inside a
 // banned scope aborts the process with a message naming the scope.
-// The hot paths (RoutingEngine routing entry points, Network::execute,
-// TrafficServer::execute_window) arm bans on themselves once their
-// scratch arenas are warm, so the contract the capacity-snapshot tests
+// The hot paths (the RoutingEngine permutation routes, which cover its
+// verification simulator, and TrafficServer::execute_window) ban
+// allocation on every call: their owners size every arena at
+// construction, so the contract the capacity-snapshot tests
 // (scratch_footprint) check *indirectly* is enforced *directly*, at
 // runtime, on every guarded CI run — including transient
 // allocate-free pairs that leave no footprint behind.
@@ -17,7 +18,7 @@
 //
 // All state is thread-local: a ban on one thread never constrains
 // another (see test_threading), which is exactly the granularity the
-// future BatchRouter needs — each worker arms its own engine.
+// BatchRouter needs — each worker's engine bans on its own thread.
 #pragma once
 
 #include <cstddef>
@@ -41,27 +42,23 @@ struct AllocationCounter {
 // compare before/after deltas rather than absolute values.
 AllocationCounter thread_allocation_counter();
 
-// True iff an armed ban is active on this thread and no
-// ScopedAllocationAllow overrides it.
+// True iff a ban is active on this thread and no ScopedAllocationAllow
+// overrides it.
 bool allocation_ban_active();
 
-// While alive (and armed), any heap allocation on this thread aborts:
+// While alive, any heap allocation on this thread aborts:
 //   POPS_ALLOC_GUARD: <N>-byte heap allocation inside banned scope '<scope>'
 // `scope` must outlive the ban (string literals do). Bans nest; the
-// innermost armed scope is the one reported. The `armed` flag lets hot
-// paths arm themselves only after their warm-up call has sized every
-// arena — a disarmed ban is inert and does not weaken an enclosing
-// armed one.
+// innermost scope is the one reported.
 class ScopedAllocationBan {
  public:
-  explicit ScopedAllocationBan(const char* scope, bool armed = true);
+  explicit ScopedAllocationBan(const char* scope);
   ScopedAllocationBan(const ScopedAllocationBan&) = delete;
   ScopedAllocationBan& operator=(const ScopedAllocationBan&) = delete;
   ~ScopedAllocationBan();
 
  private:
   const char* const previous_scope_;
-  const bool armed_;
 };
 
 // Escape hatch: while alive, allocations on this thread are permitted
@@ -86,10 +83,7 @@ inline bool allocation_ban_active() { return false; }
 
 class ScopedAllocationBan {
  public:
-  explicit ScopedAllocationBan(const char* scope, bool armed = true) {
-    (void)scope;
-    (void)armed;
-  }
+  explicit ScopedAllocationBan(const char* scope) { (void)scope; }
   ScopedAllocationBan(const ScopedAllocationBan&) = delete;
   ScopedAllocationBan& operator=(const ScopedAllocationBan&) = delete;
   // User-provided so `ScopedAllocationBan ban("x");` is not flagged as

@@ -1,6 +1,6 @@
 // Tests for support/alloc_guard: counters, ban/allow scoping, and the
 // seeded-violation negative paths proving the ban is live — a vector
-// growing past its capacity inside a ban, a cold engine routed inside
+// growing past its capacity inside a ban, an engine constructed inside
 // a ban, and a TrafficServer whose arena reserves were deliberately
 // shrunk (ServerConfig::debug_shrink_reserves) tripping the window
 // ban. The binary builds in every configuration; without
@@ -72,14 +72,7 @@ POPS_TEST(AllowScopeLiftsTheBan) {
   EXPECT_EQ(survives.size(), std::size_t{256});
 }
 
-POPS_TEST(DisarmedBanIsInert) {
-  ScopedAllocationBan ban("test: disarmed", /*armed=*/false);
-  EXPECT_FALSE(allocation_ban_active());
-  std::vector<int> survives(256);
-  EXPECT_EQ(survives.size(), std::size_t{256});
-}
-
-POPS_TEST(InnermostArmedScopeIsReported) {
+POPS_TEST(InnermostScopeIsReported) {
   EXPECT_ABORTS_WITH(
       {
         ScopedAllocationBan outer("test: outer scope");
@@ -90,40 +83,34 @@ POPS_TEST(InnermostArmedScopeIsReported) {
       "banned scope 'test: inner scope'");
 }
 
-POPS_TEST(ColdEngineInsideBanAborts) {
-  // First-call routing sizes the colorer scratch: running it under an
-  // external ban must abort. (The engine's own entry-point ban stays
-  // disarmed until warm, and a disarmed ban never weakens an armed
-  // enclosing one.)
+POPS_TEST(EngineConstructionInsideBanAborts) {
+  // The constructor sizes every routing arena, so constructing an
+  // engine is where its allocations happen: under an external ban it
+  // must abort.
   EXPECT_ABORTS_WITH(
       {
         const Topology topo(4, 4);
+        ScopedAllocationBan ban("test: engine construction");
         RoutingEngine engine(topo);
-        Rng rng(7);
-        const Permutation pi =
-            Permutation::random(topo.processor_count(), rng);
-        ScopedAllocationBan ban("test: cold engine route");
-        engine.route_permutation(pi);
       },
-      "banned scope 'test: cold engine route'");
+      "banned scope 'test: engine construction'");
 }
 
-// Warms `engine` (POPS(4, 4)) with one kBest route that direct wins —
-// a transpose puts one packet on each coupler — then routes with each
-// builder and with kBest under the external ban `scope`: that one route
-// must have sized the Theorem 2 builder and the simulator too.
-void route_every_way_after_one_best_route(RoutingEngine& engine,
-                                          const char* scope) {
+// Routes a freshly constructed `engine` (POPS(4, 4)) every way under
+// the external ban `scope`: with each builder, verified, and with kBest
+// on inputs each builder wins. Construction alone must have sized every
+// arena; the first verifying route builds the simulator under the
+// engine's own allowance.
+void route_every_way_after_construction(RoutingEngine& engine,
+                                        const char* scope) {
   const Topology& topo = engine.topology();
-  engine.route(make_pattern(topo, TrafficPattern::kTranspose),
-               {RouteStrategy::kBest});
-  EXPECT_TRUE(engine.last_strategy() == RouteStrategy::kDirect);
   Rng rng(7);
   const Permutation steady =
       Permutation::random(topo.processor_count(), rng);
   // All d packets of a group share one coupler, so Theorem 2 wins.
   const Permutation rotation = group_rotation(topo.d(), topo.g(), 1);
   ScopedAllocationBan ban(scope);
+  EXPECT_TRUE(engine.route_permutation(steady).slot_count() > 0);
   EXPECT_TRUE(engine.route_direct(steady).slot_count() > 0);
   EXPECT_TRUE(
       engine.route(steady, {RouteStrategy::kTheorem2, /*verify=*/true})
@@ -136,47 +123,42 @@ void route_every_way_after_one_best_route(RoutingEngine& engine,
 
 POPS_TEST(WarmEngineInsideBanIsClean) {
   RoutingEngine engine(Topology(4, 4));
-  route_every_way_after_one_best_route(engine, "test: warm engine route");
+  route_every_way_after_construction(engine, "test: warm engine route");
 }
 
-POPS_TEST(ColdEngineInsideBanAbortsForEveryColoringBackend) {
-  // Same seeded violation as above, but routed through each coloring
-  // backend: the first call must size the colorer's flat scratch
-  // (slot tables, or the padded edge array and walk arrays), so a cold
-  // route under an external ban aborts for every backend.
+POPS_TEST(EngineConstructionInsideBanAbortsForEveryColoringBackend) {
+  // Same seeded violation as above, on each coloring backend: the
+  // constructor sizes that backend's flat scratch (slot tables, or the
+  // padded edge array and walk arrays), so it aborts under a ban.
   for (const auto algorithm : kAllColoringAlgorithms) {
     EXPECT_ABORTS_WITH(
         {
           const Topology topo(4, 4);
           RouterOptions options;
           options.coloring = algorithm;
+          ScopedAllocationBan ban("test: backend engine construction");
           RoutingEngine engine(topo, options);
-          Rng rng(7);
-          const Permutation pi =
-              Permutation::random(topo.processor_count(), rng);
-          ScopedAllocationBan ban("test: cold backend route");
-          engine.route_permutation(pi);
         },
-        "banned scope 'test: cold backend route'");
+        "banned scope 'test: backend engine construction'");
   }
 }
 
 POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
   // The positive control: every coloring backend runs on flat scratch
-  // since the flat kernel rewrite, so a warm engine routes under a live
-  // external ban without tripping it — including the engine's own (now
-  // armed) entry-point ban underneath.
+  // that the constructor sized, so a fresh engine routes under a live
+  // external ban without tripping it — including the engine's own
+  // entry-point ban underneath.
   for (const auto algorithm : kAllColoringAlgorithms) {
     RouterOptions options;
     options.coloring = algorithm;
     RoutingEngine engine(Topology(4, 4), options);
-    route_every_way_after_one_best_route(engine, "test: warm backend route");
+    route_every_way_after_construction(engine, "test: warm backend route");
   }
 }
 
 POPS_TEST(ShrunkServerReservesTripTheWindowBan) {
   // debug_shrink_reserves skips the constructor's arena reserves and
-  // priming but still arms the steady-state ban: the first window's
+  // priming, and every window runs under the ban: the first window's
   // scratch sizing must abort inside the banned window scope.
   EXPECT_ABORTS_WITH(
       {
@@ -195,7 +177,7 @@ POPS_TEST(ShrunkServerReservesTripTheWindowBan) {
 
 POPS_TEST(ProperlyReservedServerSoaksCleanUnderGuard) {
   // The positive control for the test above: identical traffic, normal
-  // construction — hundreds of windows, every one inside the armed
+  // construction — hundreds of windows, every one inside the window
   // ban, no abort.
   const Topology topo(4, 4);
   TrafficServer server(topo);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "graph/validation.h"
@@ -335,6 +336,59 @@ POPS_TEST(EveryBackendHasFlatScratchAcrossSameShapedGraphs) {
     colorer.color(last, algorithm, out);
     EXPECT_TRUE(is_valid_edge_coloring(last, out));
     EXPECT_EQ(colorer.scratch_capacity(), warm);
+  }
+}
+
+POPS_TEST(ReserveSizesEverythingItsBackendAndSpreadTouch) {
+  // reserve(g, d, algorithm) sizes every table that backend touches
+  // when it colors H of POPS(d, g), all n packets (d-regular) or a
+  // random subset (irregular), and only those: the other backend still
+  // grows the colorer. reserve_spread(g) then sizes every table
+  // spread() touches on such an H onto g classes (when g > d), on 3/8,
+  // where d does not divide g and the swaps run, as on partial graphs.
+  Rng rng(28);
+  for (const auto& [d, g] : {std::pair{4, 4}, {3, 8}, {8, 3}, {2, 8},
+                             {5, 3}, {16, 16}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    std::vector<BipartiteMultigraph> graphs;
+    for (int trial = 0; trial < 24; ++trial) {
+      const Permutation pi = Permutation::random(n, rng);
+      const int keep = trial % 2 == 0 ? n : rng.next_below(n + 1);
+      BipartiteMultigraph h(g, g);
+      for (int source = 0; source < n; ++source) {
+        if (source >= keep && rng.next_below(2) == 0) continue;
+        h.add_edge(topo.group_of(source), topo.group_of(pi(source)));
+      }
+      graphs.push_back(std::move(h));
+    }
+    for (std::size_t k = 0; k < std::size(kAllColoringAlgorithms); ++k) {
+      const ColoringAlgorithm algorithm = kAllColoringAlgorithms[k];
+      EdgeColorer colorer;
+      EdgeColoring out;
+      colorer.reserve(g, d, algorithm);
+      const std::size_t reserved = colorer.scratch_capacity();
+      EXPECT_TRUE(reserved > 0);
+      for (const BipartiteMultigraph& h : graphs) {
+        colorer.color(h, algorithm, out);
+        EXPECT_TRUE(is_valid_edge_coloring(h, out));
+        EXPECT_EQ(colorer.scratch_capacity(), reserved);
+      }
+      const ColoringAlgorithm other = kAllColoringAlgorithms[1 - k];
+      EdgeColorer other_colorer;
+      other_colorer.reserve(g, d, algorithm);
+      other_colorer.color(graphs.front(), other, out);
+      EXPECT_TRUE(other_colorer.scratch_capacity() > reserved);
+      if (g <= d) continue;
+      colorer.reserve_spread(g);
+      const std::size_t spread_reserved = colorer.scratch_capacity();
+      for (const BipartiteMultigraph& h : graphs) {
+        colorer.color(h, algorithm, out);
+        colorer.spread(h, g, out);
+        EXPECT_TRUE(is_valid_edge_coloring(h, out));
+        EXPECT_EQ(colorer.scratch_capacity(), spread_reserved);
+      }
+    }
   }
 }
 

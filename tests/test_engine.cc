@@ -1,8 +1,9 @@
 // The RoutingEngine must (a) produce schedules that are slot-for-slot
 // verified across the (d, g) grid for every strategy and for
-// h-relations, and (b) perform no steady-state heap allocation —
-// asserted by routing repeatedly after a warm-up call and demanding
-// that no engine-owned scratch arena ever grows again.
+// h-relations, and (b) perform no heap allocation once constructed —
+// asserted by routing repeatedly and demanding that no engine-owned
+// scratch arena ever grows past its size at construction.
+#include <algorithm>
 #include <limits>
 
 #include "perm/families.h"
@@ -123,24 +124,21 @@ POPS_TEST(BestReturnsTheWinnerBitForBit) {
 }
 
 POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
-  // The zero-allocation contract, checked both ways: equal scratch
-  // footprints before and after every call (no arena ever reallocates)
-  // AND — in POPS_ALLOC_GUARD builds — a ScopedAllocationBan over the
-  // whole steady loop, which additionally aborts on transient
-  // allocate-free pairs that a capacity diff cannot see. Permutations
-  // are generated before the ban: building a Permutation allocates by
-  // design.
+  // The zero-allocation contract, checked both ways: scratch footprints
+  // equal to the one at construction after every unverified call (no
+  // arena ever reallocates) AND — in POPS_ALLOC_GUARD builds — a
+  // ScopedAllocationBan over the whole loop, which additionally aborts
+  // on transient allocate-free pairs that a capacity diff cannot see.
+  // Permutations are generated before the ban: building a Permutation
+  // allocates by design.
   Rng rng(74);
   for (const auto& [d, g] :
        {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8}, {16, 16}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);
-    // Warm-up: one kBest route sizes both builders, whichever wins,
-    // and the verification Network.
-    engine.route(Permutation::random(n, rng), {RouteStrategy::kBest});
-    const ScratchFootprint warm = engine.scratch_footprint();
-    EXPECT_TRUE(warm.units > 0);
+    const ScratchFootprint birth = engine.scratch_footprint();
+    EXPECT_TRUE(birth.units > 0);
     std::vector<Permutation> trials;
     for (int trial = 0; trial < 8; ++trial) {
       trials.push_back(trial % 2 == 0
@@ -152,11 +150,20 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
       // EXPECT_EQ streams both footprints on mismatch (the
       // ScratchFootprint operator<<), so a regression names the sizes.
       engine.route_permutation(pi);
-      EXPECT_EQ(engine.scratch_footprint(), warm);
+      EXPECT_EQ(engine.scratch_footprint(), birth);
       engine.route_direct(pi);
-      EXPECT_EQ(engine.scratch_footprint(), warm);
+      EXPECT_EQ(engine.scratch_footprint(), birth);
+    }
+    // The first verifying route adds the simulator, and nothing else
+    // grows after it.
+    engine.route(trials.front(), {RouteStrategy::kBest});
+    const ScratchFootprint verified = engine.scratch_footprint();
+    EXPECT_TRUE(verified.units > birth.units);
+    for (const Permutation& pi : trials) {
       engine.route(pi, {RouteStrategy::kBest});
-      EXPECT_EQ(engine.scratch_footprint(), warm);
+      EXPECT_EQ(engine.scratch_footprint(), verified);
+      engine.route_permutation(pi);
+      EXPECT_EQ(engine.scratch_footprint(), verified);
     }
   }
 }
@@ -258,7 +265,7 @@ POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
       }
       // Each phase takes exactly its shorter schedule.
       const HRelationPlan plan = h_relation_plan(engine);
-      EXPECT_EQ(engine.h_relation_schedule().slot_count(),
+      EXPECT_EQ(engine.schedule().slot_count(),
                 testing::expected_plan_slots(topo, requests, plan));
       EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
     }
@@ -307,7 +314,73 @@ POPS_TEST(HRelationPhasesPartitionTheRequests) {
     EXPECT_TRUE(offsets[as_size(c)] < offsets[as_size(c + 1)]);
   }
   EXPECT_EQ(offsets[as_size(engine.phase_count())],
-            engine.h_relation_schedule().slot_count());
+            engine.schedule().slot_count());
+}
+
+// True iff the last h-relations of `a` and `b` have the same phases:
+// the same slot offsets and, phase by phase, the same packets.
+bool same_phases(const RoutingEngine& a, const RoutingEngine& b) {
+  const auto same_packet = [](const Transmission& x, const Transmission& y) {
+    return x.source == y.source && x.destination == y.destination &&
+           x.packet == y.packet;
+  };
+  const Span<const int> offsets = a.phase_slot_offsets();
+  bool same = a.phase_count() == b.phase_count() &&
+              std::equal(offsets.begin(), offsets.end(),
+                         b.phase_slot_offsets().begin(),
+                         b.phase_slot_offsets().end());
+  for (int c = 0; same && c < a.phase_count(); ++c) {
+    const Span<const Transmission> pa = a.phase_packets(c);
+    const Span<const Transmission> pb = b.phase_packets(c);
+    same = std::equal(pa.begin(), pa.end(), pb.begin(), pb.end(), same_packet);
+  }
+  return same;
+}
+
+POPS_TEST(PermutationAndRelationRoutesShareOnePacketListAndSchedule) {
+  // A relation with more requests than n grows the shared packet list
+  // and schedule. A permutation route then overwrites both and empties
+  // the phase view, and the next relation still routes exactly as on a
+  // fresh engine. schedule() is always the last route's schedule.
+  Rng rng(79);
+  for (const auto& [d, g] : {std::pair{4, 4}, {3, 8}, {8, 3}, {1, 8}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    for (const auto algorithm : kAllColoringAlgorithms) {
+      RouterOptions options;
+      options.coloring = algorithm;
+      RoutingEngine engine(topo, options);
+      const std::vector<Request> first = permutation_union(n, 3, rng);
+      const std::vector<Request> second = permutation_union(n, 2, rng);
+      const Permutation pi = Permutation::random(n, rng);
+
+      EXPECT_TRUE(&engine.route_h_relation(first) == &engine.schedule());
+      EXPECT_EQ(engine.phase_count(), 3);
+
+      // Each fresh engine routes one input only.
+      RoutingEngine fresh_permutation(topo, options);
+      EXPECT_TRUE(&engine.route(pi, {RouteStrategy::kBest}) ==
+                  &engine.schedule());
+      EXPECT_TRUE(testing::same_schedule(
+          engine.schedule(),
+          fresh_permutation.route(pi, {RouteStrategy::kBest})));
+      EXPECT_EQ(engine.phase_count(), 0);
+      EXPECT_TRUE(engine.phase_slot_offsets().empty());
+      EXPECT_ABORTS(engine.phase_packets(0));
+      const HRelationPlan none = h_relation_plan(engine);
+      EXPECT_EQ(none.h, 0);
+      EXPECT_TRUE(none.phases.empty());
+
+      RoutingEngine fresh_relation(topo, options);
+      fresh_relation.route_h_relation(second);
+      engine.route_h_relation(second);
+      EXPECT_TRUE(
+          testing::same_schedule(engine.schedule(), fresh_relation.schedule()));
+      EXPECT_EQ(engine.phase_count(), 2);
+      EXPECT_TRUE(same_phases(engine, fresh_relation));
+      EXPECT_EQ(verify_h_relation(topo, second, h_relation_plan(engine)), "");
+    }
+  }
 }
 
 POPS_TEST(EngineRejectsShapesWhoseSchedulesOverflowInt) {

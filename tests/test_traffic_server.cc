@@ -309,6 +309,36 @@ POPS_TEST(SoakKeepsScratchFootprintFlat) {
   EXPECT_TRUE(server.stats().slots_executed <= server.stats().budget_slots);
 }
 
+POPS_TEST(ServersWithMoreGroupsThanGroupSizeSoakUnderTheBan) {
+  // With g > d, Theorem 2 spreads each phase's H onto g classes; at 3/8,
+  // where d does not divide g, the spread's swaps run too. Every
+  // arrival process, 400 windows inside an external ban, and the
+  // footprint stays at its size at construction.
+  for (const auto& [d, g] : {std::pair{3, 8}, {2, 8}, {4, 16}}) {
+    const Topology topo(d, g);
+    for (const ArrivalProcess process : kAllArrivalProcesses) {
+      ServerConfig config;
+      config.max_window_degree = 4;
+      config.max_window_demands = 64;
+      TrafficServer server(topo, config);
+      const ScratchFootprint birth = server.scratch_footprint();
+      ArrivalConfig arrivals;
+      arrivals.process = process;
+      arrivals.seed = 91;
+      ArrivalGenerator generator(topo, arrivals);
+      {
+        ScopedAllocationBan ban("test: g > d soak");
+        while (server.stats().windows_routed < 400) {
+          server.submit(generator.next());
+        }
+      }
+      EXPECT_EQ(server.scratch_footprint(), birth);
+      EXPECT_TRUE(server.stats().slots_executed <=
+                  server.stats().budget_slots);
+    }
+  }
+}
+
 POPS_TEST(ZipfWindowsTakeExactlyTheirPhaseLengths) {
   // Every window's slot count is the sum of its phases' exact lengths,
   // min(M, 2 * ceil(Delta / g)) each, recomputed from the requests,
