@@ -73,7 +73,6 @@ void BM_EngineRoutePermutation(benchmark::State& state) {
   Rng rng(42);
   const Permutation pi = Permutation::random(topo.processor_count(), rng);
   RoutingEngine engine(topo);
-  engine.route_permutation(pi);  // warm the scratch arenas
   for (auto _ : state) {
     benchmark::DoNotOptimize(&engine.route_permutation(pi));
   }

@@ -37,8 +37,8 @@ class BipartiteMultigraph {
   }
 
   /// Pre-sizes the edge array: refills with at most `edges` edges never
-  /// allocate. The TrafficServer calls this with its window cap so a
-  /// worst-shape window late in a run cannot grow the graph.
+  /// allocate. RoutingEngine::reserve_h_relation sizes its traffic
+  /// graph with this, so no relation within its bounds grows the graph.
   void reserve_edges(int edges) {
     POPS_CHECK(edges >= 0, "reserve_edges needs a nonnegative capacity");
     edges_.reserve(as_size(edges));

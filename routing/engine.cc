@@ -299,7 +299,6 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   // The traffic multigraph: one edge per request, processor to
   // processor, so the edge id is the request id.
   traffic_.reset(n, n);
-  traffic_.reserve_edges(count);
   for (const Request& request : requests) {
     POPS_CHECK(request.source >= 0 && request.source < n,
                "route_h_relation: request source out of range");
@@ -337,14 +336,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   }
   phase_offsets_.pop_back();
 
-  // A phase takes at most theorem2_slots slots, and a phase of k
-  // packets at most k (its direct schedule does, and Theorem 2 runs
-  // only when shorter). The bound grows with both h and count, so a
-  // relation no larger in either does not grow the schedule.
-  const long long max_slots = std::min<long long>(
-      static_cast<long long>(h) * theorem2_slots(topo_), count);
   schedule_.clear();
-  schedule_.reserve(2 * count, static_cast<int>(max_slots));
   phase_slot_offsets_.assign(1, 0);
   int phase_demand = 0;  // direct_max_demand() reports permutations only
   for (int c = 0; c < h; ++c) {
@@ -354,6 +346,26 @@ const FlatSchedule& RoutingEngine::route_h_relation(
     phase_slot_offsets_.push_back(schedule_.slot_count());
   }
   return schedule_;
+}
+
+void RoutingEngine::reserve_h_relation(int requests, int degree) {
+  // Two transmissions per request, counted in ints.
+  POPS_CHECK(requests <= std::numeric_limits<int>::max() / 2,
+             "reserve_h_relation: more than INT_MAX / 2 requests");
+  const int n = topo_.processor_count();
+  traffic_.reset(n, n);
+  traffic_.reserve_edges(requests);
+  traffic_coloring_.color.reserve(as_size(requests));
+  // n * h slots a side, at least the g * d an irregular phase H needs.
+  colorer_.reserve(n, degree, ColoringAlgorithm::kAlternatingPath);
+  phase_offsets_.reserve(as_size(degree) + 2);
+  phase_slot_offsets_.reserve(as_size(degree) + 1);
+  packets_.reserve(as_size(requests));
+  // A phase takes at most theorem2_slots slots, and a phase of k
+  // packets at most k (direct does, and Theorem 2 runs only if shorter).
+  const long long max_slots = std::min<long long>(
+      static_cast<long long>(degree) * theorem2_slots(topo_), requests);
+  schedule_.reserve(2 * requests, static_cast<int>(max_slots));
 }
 
 Span<const Transmission> RoutingEngine::phase_packets(int phase) const {

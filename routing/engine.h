@@ -57,14 +57,12 @@
 //
 // The permutation routes and route_h_relation share one packet list
 // and one schedule: schedule() is the last schedule any route built.
-// An h-relation has no fixed shape: the traffic multigraph and the
-// phase arrays grow with the request count and the degree h, and so
-// do the shared packet list and schedule once a relation outgrows a
-// permutation. Every phase runs on arenas sized already: the
-// constructor's, and the alternating-path tables the relation's own
-// traffic coloring sized, at least n * h. So a relation with no more
-// requests and no higher degree than one routed before allocates
-// nothing, whichever construction its phases take.
+// An h-relation's arenas grow with its request count R and degree h
+// alone: every phase runs on the constructor's arenas plus the
+// alternating-path tables of the traffic coloring, n * h a side, which
+// hold the g * d any phase's H needs. reserve_h_relation(R, h) sizes
+// them, and then every relation within those bounds routes
+// allocation-free, whichever construction its phases take.
 #pragma once
 
 #include <iosfwd>
@@ -181,15 +179,19 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// phase_slot_offsets()[c + 1]), at most theorem2_slots(topology()).
   ///
   /// Aborts on a request outside the topology and on more than
-  /// INT_MAX / 2 requests. Allocation-free once the engine has routed
-  /// a relation with at least as many requests and at least the same
-  /// degree (see the header comment); no ScopedAllocationBan is armed
-  /// here, because that bound depends on the relation, so callers that
-  /// know their largest relation arm one (the TrafficServer's window
-  /// ban). Returns schedule(); it and the phase accessors stay valid
-  /// until the next route of any kind, and a permutation route empties
-  /// the phase view.
+  /// INT_MAX / 2 requests. Allocation-free for a relation within a
+  /// reserve_h_relation call's bounds; no ScopedAllocationBan is armed
+  /// here, because those bounds are the caller's, so callers that
+  /// reserve arm one (the TrafficServer's window ban). Returns
+  /// schedule(); it and the phase accessors stay valid until the next
+  /// route of any kind, and a permutation route empties the phase view.
   const FlatSchedule& route_h_relation(Span<const Request> requests);
+  /// Reserves exactly what route_h_relation touches beyond the
+  /// constructor's arenas for at most `requests` requests of degree at
+  /// most `degree` (see the header comment): every such relation then
+  /// routes allocation-free. Routes nothing; aborts, as
+  /// route_h_relation does, on more than INT_MAX / 2 requests.
+  void reserve_h_relation(int requests, int degree);
   /// The last schedule any route built: a permutation's, named by
   /// source, or the last route_h_relation's, named by request id.
   /// Empty before the first route.
@@ -284,7 +286,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 
-  // --- h-relation scratch (empty until the first route_h_relation) ---
+  // --- h-relation scratch (sized by reserve_h_relation) ---
   // Window traffic is colored by colorer_ too, before any phase is
   // routed: the colorer's tables are scratch, and the coloring itself
   // lands in traffic_coloring_.

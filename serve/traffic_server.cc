@@ -66,53 +66,20 @@ TrafficServer::TrafficServer(const Topology& topo,
   const int n = topo_.processor_count();
   send_count_.assign(as_size(n), 0);
   recv_count_.assign(as_size(n), 0);
-  // Every window executes under the allocation ban. With
-  // debug_shrink_reserves the arenas are neither reserved nor primed,
-  // so under POPS_ALLOC_GUARD the first window must trip the guard —
-  // the seeded violation the negative tests rely on.
-  if (!config_.debug_shrink_reserves) {
-    demands_.reserve(as_size(config_.max_window_demands));
-    requests_.reserve(as_size(config_.max_window_demands));
-    // A window loads one packet per demand and routes it unicast, so
-    // the simulator never holds more than the demand cap.
-    net_.reserve_packets(config_.max_window_demands);
-    prime_scratch();
-  }
-}
-
-void TrafficServer::prime_scratch() {
-  // Drive one synthetic worst-shape window through the full serving
-  // path, under an allowance that lifts the window ban, then zero the
-  // counters. The engine's constructor sized every arena a phase can
-  // touch from (d, g); the rest grows with the window's request count
-  // and degree. Processor p sends to p + r + 1 (mod n) for r < h, so no
-  // processor sends or receives more than h, and processor 0 goes
-  // first: the window holds the most requests a window can (the
-  // demand-count cap, or h per processor) at the highest degree (the
-  // degree cap). Every later window has no more requests and no
-  // higher degree, so steady-state serving starts allocation-free
-  // instead of allocation-free-after-warm-up.
-  ScopedAllocationAllow allow;
-  const int n = topo_.processor_count();
+  // With debug_shrink_reserves nothing is reserved, so under
+  // POPS_ALLOC_GUARD the first window trips its ban: the seeded
+  // violation the negative tests rely on.
+  if (config_.debug_shrink_reserves) return;
+  // A window holds at most n * h demands, at a degree of at most h and
+  // at most its demand count (see the header comment).
   const int h = config_.max_window_degree;
-  const long long widest = std::min<long long>(
-      config_.max_window_demands, static_cast<long long>(n) * h);
-  long long submitted = 0;
-  Demand demand;
-  for (int p = 0; p < n && submitted < widest; ++p) {
-    for (int r = 0; r < h && submitted < widest; ++r) {
-      demand.source = p;
-      demand.destination = (p + r + 1) % n;
-      submit_locked(demand);
-      ++submitted;
-    }
-  }
-  execute_window();
-  stats_ = ServerStats{};
-  clock_ = 0;
-  // Forget the priming window: the accessors report no window yet.
-  requests_.clear();
-  engine_.route_h_relation(requests_);
+  const int widest = static_cast<int>(std::min<long long>(
+      config_.max_window_demands, static_cast<long long>(n) * h));
+  demands_.reserve(as_size(widest));
+  requests_.reserve(as_size(widest));
+  engine_.reserve_h_relation(widest, std::min(h, widest));
+  // One packet per demand, and a window routes unicast.
+  net_.reserve_packets(widest);
 }
 
 bool TrafficServer::submit(const Demand& demand) {
@@ -158,7 +125,7 @@ void TrafficServer::flush() {
 void TrafficServer::execute_window() {
   if (demands_.empty()) return;
   // The whole window pipeline — decomposition, per-phase routing,
-  // simulation, counters — runs under the ban: the constructor primed
+  // simulation, counters — runs under the ban: the constructor reserved
   // the arenas, so any allocation aborts in POPS_ALLOC_GUARD builds.
   ScopedAllocationBan ban("TrafficServer::execute_window");
   const int h = window_degree_;

@@ -20,14 +20,14 @@
 //
 // Ownership follows the RoutingEngine discipline: the server owns its
 // window arrays, the engine (which owns every routing intermediate)
-// and the simulator, and rebuilds them in place per window. The
-// constructor primes them, under a ScopedAllocationAllow, with one
-// worst-shape window, with both the most requests and the most phases
-// a window can hold, so the engine's h-relation arenas start at their
-// largest size. scratch_footprint() is the aggregate capacity the soak
-// tests compare across thousands of windows; under POPS_ALLOC_GUARD
-// builds the contract is additionally enforced at runtime: every
-// window executes inside a ScopedAllocationBan.
+// and the simulator, and rebuilds them in place per window. A window
+// never holds more than min(max_window_demands, n * h) demands, nor a
+// degree above h or its demand count, so the constructor reserves
+// every arena at that size (RoutingEngine::reserve_h_relation for the
+// engine) and routes nothing. scratch_footprint() is the aggregate
+// capacity the soak tests compare across thousands of windows; under
+// POPS_ALLOC_GUARD builds the contract is additionally enforced at
+// runtime: every window executes inside a ScopedAllocationBan.
 //
 // Unlike the engines below it, the server IS thread-safe: all mutable
 // state is guarded by one mutex (annotations checked by clang
@@ -63,11 +63,11 @@ struct ServerConfig {
   /// every smaller phase, is always colored with alternating path (see
   /// RoutingEngine::route_h_relation).
   RouterOptions router;
-  /// Test-only hook: skip the constructor's arena reserves and priming
-  /// window. Every window still runs under the allocation ban, so under
-  /// POPS_ALLOC_GUARD the first real window trips the guard — the
-  /// seeded violation test_alloc_guard uses to prove the ban is live.
-  /// Never set this in production code.
+  /// Test-only hook: skip the constructor's arena reserves. Every
+  /// window still runs under the allocation ban, so under
+  /// POPS_ALLOC_GUARD the first window trips the guard — the seeded
+  /// violation test_alloc_guard uses to prove the ban is live. Never
+  /// set this in production code.
   bool debug_shrink_reserves = false;
 };
 
@@ -194,7 +194,6 @@ class TrafficServer {
   // only the *_locked / REQUIRES-annotated private layer below.
   void submit_locked(const Demand& demand) POPS_REQUIRES(mu_);
   void execute_window() POPS_REQUIRES(mu_);
-  void prime_scratch() POPS_REQUIRES(mu_);
   int pending_demands_locked() const POPS_REQUIRES(mu_) {
     return as_int(demands_.size());
   }

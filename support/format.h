@@ -13,7 +13,7 @@ std::string format_double(double value, int decimals);
 template <typename... Args>
 std::string str_cat(const Args&... args) {
   std::ostringstream out;
-  (out << ... << args);
+  ((out << args), ...);
   return out.str();
 }
 

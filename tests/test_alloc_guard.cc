@@ -157,9 +157,9 @@ POPS_TEST(WarmEngineInsideBanIsCleanForEveryColoringBackend) {
 }
 
 POPS_TEST(ShrunkServerReservesTripTheWindowBan) {
-  // debug_shrink_reserves skips the constructor's arena reserves and
-  // priming, and every window runs under the ban: the first window's
-  // scratch sizing must abort inside the banned window scope.
+  // debug_shrink_reserves skips the constructor's arena reserves, and
+  // every window runs under the ban: the first window's scratch sizing
+  // must abort inside the banned window scope.
   EXPECT_ABORTS_WITH(
       {
         const Topology topo(4, 4);

@@ -224,22 +224,18 @@ std::vector<Request> permutation_union(int n, int h, Rng& rng) {
 
 POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
   // route_h_relation arms no ban of its own: its arenas grow with the
-  // relation, not the topology. Once warmed on the largest relation of
-  // a shape (the most requests and the highest degree), every smaller
-  // one must route inside a live ban without growing a single arena,
-  // and every result must deliver on the strict simulator.
+  // relation, not the topology. Once a fresh engine has reserved for
+  // the largest relation of a shape (the most requests and the highest
+  // degree), every relation within those bounds must route inside a
+  // live ban without growing a single arena, and every result must
+  // deliver on the strict simulator. 3/8 has g > d with d not dividing
+  // g, so spread's swaps run.
   Rng rng(76);
   for (const auto& [d, g] :
-       {std::pair{1, 8}, {4, 4}, {3, 5}, {8, 2}, {2, 8}}) {
+       {std::pair{1, 8}, {4, 4}, {3, 5}, {8, 2}, {2, 8}, {3, 8}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     constexpr int kMaxDegree = 8;
-    RoutingEngine engine(topo);
-    const std::vector<Request> largest =
-        permutation_union(n, kMaxDegree, rng);
-    engine.route_h_relation(largest);
-    const ScratchFootprint warm = engine.scratch_footprint();
-
     std::vector<std::vector<Request>> relations;
     for (int h = 1; h <= kMaxDegree; ++h) {
       relations.push_back(permutation_union(n, h, rng));
@@ -255,19 +251,32 @@ POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
     }
     relations.push_back(hot);
     relations.emplace_back();
-    relations.push_back(largest);
+    // One phase of all n packets, each group's on one coupler: Theorem
+    // 2 wins wherever it beats d slots, and colors a d-regular H with
+    // the configured backend.
+    const Permutation rotation = group_rotation(d, g, 1);
+    std::vector<Request> whole;
+    for (int i = 0; i < n; ++i) whole.push_back(Request{i, rotation(i)});
+    relations.push_back(whole);
 
-    for (const std::vector<Request>& requests : relations) {
-      {
-        ScopedAllocationBan ban("test: h-relation steady state");
-        engine.route_h_relation(requests);
-        EXPECT_EQ(engine.scratch_footprint(), warm);
+    for (const auto algorithm : kAllColoringAlgorithms) {
+      RouterOptions options;
+      options.coloring = algorithm;
+      RoutingEngine engine(topo, options);
+      engine.reserve_h_relation(n * kMaxDegree, kMaxDegree);
+      const ScratchFootprint reserved = engine.scratch_footprint();
+      for (const std::vector<Request>& requests : relations) {
+        {
+          ScopedAllocationBan ban("test: h-relation steady state");
+          engine.route_h_relation(requests);
+          EXPECT_EQ(engine.scratch_footprint(), reserved);
+        }
+        // Each phase takes exactly its shorter schedule.
+        const HRelationPlan plan = h_relation_plan(engine);
+        EXPECT_EQ(engine.schedule().slot_count(),
+                  testing::expected_plan_slots(topo, requests, plan));
+        EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
       }
-      // Each phase takes exactly its shorter schedule.
-      const HRelationPlan plan = h_relation_plan(engine);
-      EXPECT_EQ(engine.schedule().slot_count(),
-                testing::expected_plan_slots(topo, requests, plan));
-      EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
     }
   }
 }
@@ -401,6 +410,9 @@ POPS_TEST(EngineRejectsShapesWhoseSchedulesOverflowInt) {
       nullptr, as_size(std::numeric_limits<int>::max() / 2) + 1);
   EXPECT_ABORTS_WITH(engine.route_h_relation(too_many),
                      "more than INT_MAX / 2 requests");
+  EXPECT_ABORTS_WITH(
+      engine.reserve_h_relation(std::numeric_limits<int>::max() / 2 + 1, 1),
+      "more than INT_MAX / 2 requests");
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ POPS_TEST(EmptyFlushIsNoOp) {
   EXPECT_EQ(server.stats().windows_routed, 0);
   EXPECT_EQ(server.pending_demands(), 0);
   EXPECT_EQ(server.now(), std::uint64_t{0});
-  // The priming windows the constructor ran are not reported.
+  // The constructor reserves and routes nothing: no window yet.
   EXPECT_EQ(server.last_window_degree(), 0);
   EXPECT_EQ(server.last_window_slots(), 0);
   EXPECT_TRUE(server.last_window_requests().empty());
@@ -280,7 +280,7 @@ POPS_TEST(SoakKeepsScratchFootprintFlat) {
   config.max_window_degree = 4;
   config.max_window_demands = 128;
   TrafficServer server(topo, config);
-  // The constructor primes every arena at the window caps, so the
+  // The constructor reserves every arena for the widest window, so the
   // footprint is flat from birth — not merely after a lucky warm-up.
   const ScratchFootprint birth = server.scratch_footprint();
   ArrivalConfig arrivals;
@@ -337,6 +337,42 @@ POPS_TEST(ServersWithMoreGroupsThanGroupSizeSoakUnderTheBan) {
                   server.stats().budget_slots);
     }
   }
+}
+
+POPS_TEST(ReservationStopsAtTheWidestWindow) {
+  // A window holds at most n * h demands, and its degree is at most its
+  // demand count, so a demand cap or a degree cap past what a window
+  // can reach reserves nothing more.
+  const Topology topo(4, 4);
+  ServerConfig fits;
+  fits.max_window_degree = 2;
+  fits.max_window_demands = 32;  // n * h
+  ServerConfig unreachable = fits;
+  unreachable.max_window_demands = 1024;
+  EXPECT_EQ(TrafficServer(topo, unreachable).scratch_footprint(),
+            TrafficServer(topo, fits).scratch_footprint());
+
+  ServerConfig shallow;
+  shallow.max_window_degree = 3;
+  shallow.max_window_demands = 3;
+  ServerConfig deep = shallow;
+  deep.max_window_degree = 8;
+  EXPECT_EQ(TrafficServer(topo, deep).scratch_footprint(),
+            TrafficServer(topo, shallow).scratch_footprint());
+  // The deep server's reservation still holds every window it closes.
+  TrafficServer server(topo, deep);
+  const ScratchFootprint birth = server.scratch_footprint();
+  ArrivalConfig arrivals;
+  arrivals.seed = 93;
+  ArrivalGenerator generator(topo, arrivals);
+  {
+    ScopedAllocationBan ban("test: cap-3 soak");
+    while (server.stats().windows_routed < 400) {
+      server.submit(generator.next());
+    }
+  }
+  EXPECT_EQ(server.scratch_footprint(), birth);
+  EXPECT_TRUE(server.stats().slots_executed <= server.stats().budget_slots);
 }
 
 POPS_TEST(ZipfWindowsTakeExactlyTheirPhaseLengths) {
