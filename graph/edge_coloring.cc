@@ -48,137 +48,223 @@ void EdgeColorer::color(const BipartiteMultigraph& graph,
 // ---------------------------------------------------------------------
 // Euler-split divide and conquer on flat scratch.
 //
-// setup_regular pads the input to a delta-regular multigraph on
-// max(L, R) + max(L, R) vertices inside dc_edges_ (original edge ids
-// preserved, dummy edges get ids >= edge_count) and lists the padded
-// edge ids in dc_work_ sorted by left vertex. From then on every step
-// works on a range [lo, hi) of dc_work_ that is k-regular on the padded
-// vertex set and keeps that order: left vertex u owns positions
-// [lo + u * k, lo + (u + 1) * k). Even splits write the two halves in
-// that order, matching peels compact the range stably, and an explicit
-// DncRange stack replaces the recursion.
+// The kernel, color_listed, takes a delta-regular multigraph on
+// vertices + vertices vertices as a list sorted by left vertex: each
+// position holds its edge's id and right vertex, and left vertex u owns
+// positions [u * delta, (u + 1) * delta). Ids at or past the real edge
+// count are padding and get no color. Every step works on a range
+// [lo, hi) of a list that is k-regular on the padded vertex set and
+// keeps that order: left vertex u owns positions [lo + u * k,
+// lo + (u + 1) * k). Even splits write the two halves in that order,
+// matching peels compact the range stably, and an explicit DncRange
+// stack replaces the recursion.
+//
+// color_regular hands the kernel the caller's list as it is. color()
+// first pads the graph to delta-regular on max(L, R) + max(L, R)
+// vertices (dummy edges get ids >= edge_count) and counting-sorts it
+// by left vertex into dc_lists_[1].
 // ---------------------------------------------------------------------
 
-int EdgeColorer::setup_regular(const BipartiteMultigraph& graph,
-                               int delta) {
+void EdgeColorer::color_regular(Span<const SortedEdge> edges, int degree,
+                                EdgeColoring& out) {
+  POPS_CHECK(degree >= 1 && edges.count() % degree == 0,
+             "color_regular: the list does not hold degree edges per "
+             "left vertex");
+  if (edges.empty()) {
+    out.color.clear();
+    out.num_colors = 0;
+    return;
+  }
+  color_listed(edges.data(), edges.count() / degree, degree, edges.count(),
+               out);
+}
+
+void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
+                            EdgeColoring& out) {
   const int n = std::max(graph.left_count(), graph.right_count());
   const int m = graph.edge_count();
   const long long padded = static_cast<long long>(delta) * n;
   POPS_CHECK(padded <= std::numeric_limits<int>::max(),
              "regularize: delta * max side overflows int");
   const int m_pad = static_cast<int>(padded);
-  regular_n_ = n;
-  dc_edges_.resize(as_size(m_pad));
-  dc_deg_left_.assign(as_size(n), 0);
+
+  // Stable counting sort by left vertex: left u's real edges in id
+  // order, then its padding. Every left vertex ends with exactly delta
+  // edges, so left u's block starts at u * delta.
+  dc_lists_[1].resize(as_size(m_pad));
+  dc_cursor_.resize(as_size(n));
   dc_deg_right_.assign(as_size(n), 0);
-  const Edge* src = graph.edges().data();
-  Edge* edges = dc_edges_.data();
-  int* deg_left = dc_deg_left_.data();
+  SortedEdge* list = dc_lists_[1].data();
+  int* next = dc_cursor_.data();
   int* deg_right = dc_deg_right_.data();
+  for (int left = 0; left < n; ++left) next[left] = left * delta;
+  const Edge* src = graph.edges().data();
   for (int e = 0; e < m; ++e) {
-    edges[e] = src[e];
-    ++deg_left[src[e].left];
+    list[next[src[e].left]++] = SortedEdge{e, src[e].right};
     ++deg_right[src[e].right];
   }
   int next_id = m;
   int right = 0;
   for (int left = 0; left < n; ++left) {
-    while (deg_left[left] < delta) {
+    while (next[left] < (left + 1) * delta) {
       while (right < n && deg_right[right] >= delta) ++right;
       POPS_CHECK(right < n,
                  "regularize: right side has no deficit left");
-      edges[next_id++] = Edge{left, right};
-      ++deg_left[left];
+      list[next[left]++] = SortedEdge{next_id++, right};
       ++deg_right[right];
     }
   }
   POPS_CHECK(next_id == m_pad, "regularize: padded edge count mismatch");
-
-  // Counting sort by left vertex. Every left vertex now has exactly
-  // delta edges, so left u's block starts at u * delta. H is built
-  // source by source and arrives sorted; then the sort is the identity.
-  dc_work_.resize(as_size(m_pad));
-  int* work = dc_work_.data();
-  bool sorted = true;
-  for (int e = 1; e < m_pad && sorted; ++e) {
-    sorted = edges[e - 1].left <= edges[e].left;
-  }
-  if (sorted) {
-    for (int e = 0; e < m_pad; ++e) work[e] = e;
-  } else {
-    int* next = deg_left;  // next free position of each left block
-    for (int left = 0; left < n; ++left) next[left] = left * delta;
-    for (int e = 0; e < m_pad; ++e) work[next[edges[e].left]++] = e;
-  }
-  dc_aux_.resize(as_size(m_pad));
-  dc_partner_.resize(as_size(m_pad));
-  dc_pending_.assign(as_size(n), -1);
-  dc_match_left_.resize(as_size(n));
-  dc_match_right_.resize(as_size(n));
-  dc_walk_.resize(as_size(n));
-  dc_walk_at_.resize(as_size(n));
-  return m_pad;
+  color_listed(list, n, delta, m, out);
 }
 
-// Position-paired Euler partition of the k-regular range [lo, hi), k
-// even. Positions lo + 2j and lo + 2j + 1 lie in one left block: they
-// are left pair j. One pass pairs the positions at each right vertex
-// through one pending slot per vertex. Every position then has one
-// left and one right partner, so the pairs close into cycles that
-// alternate left and right links. Alternating sides along each cycle
-// puts one edge of every left pair and of every right pair on each
-// side, so both halves are (k/2)-regular. The walk writes left pair
-// j's side-0 edge to position lo + j and its side-1 edge to
-// lo + (hi - lo) / 2 + j, which keeps every left block contiguous in
-// both halves. Returns the first position of the second half.
-//
-// Positions inside are relative to lo.
-int EdgeColorer::split_even(int lo, int hi) {
-  const Edge* edges = dc_edges_.data();
-  int* work = dc_work_.data() + lo;
-  int* partner = dc_partner_.data() + lo;
-  int* pending = dc_pending_.data();
-  const int size = hi - lo;
-  const int half = size / 2;
-  int right_pairs = 0;
-  for (int i = 0; i < size; ++i) {
-    int& slot = pending[edges[work[i]].right];
-    const int other = slot;
-    // Whether an edge opens or closes a pair is a coin flip, so this
-    // runs branch-free: `opens` is all ones when the edge must wait.
-    const int opens = -static_cast<int>(other < 0);
-    partner[i] = other;
-    partner[(i & opens) | (other & ~opens)] = (other & opens) | (i & ~opens);
-    slot = (i & opens) | ~opens;
-    right_pairs += 1 + opens;
-  }
-  POPS_CHECK(right_pairs == half,
-             "euler split: odd degree at a right vertex of a regular range");
+void EdgeColorer::color_listed(const SortedEdge* list, int vertices, int delta,
+                               int real_edges, EdgeColoring& out) {
+  const int m_pad = vertices * delta;
+  regular_n_ = vertices;
+  out.color.assign(as_size(real_edges), -1);
+  out.num_colors = delta;
+  dc_lists_[0].resize(as_size(m_pad));
+  dc_lists_[1].resize(as_size(m_pad));
+  dc_partner_.resize(as_size(m_pad) + 1);
+  dc_pending_.assign(as_size(vertices), -1);
+  dc_match_left_.resize(as_size(vertices));
+  dc_match_right_.resize(as_size(vertices));
+  dc_walk_.resize(as_size(vertices));
+  dc_walk_at_.resize(as_size(vertices));
+  SortedEdge* const lists[2] = {dc_lists_[0].data(), dc_lists_[1].data()};
 
-  // A cycle walk from pair j marks every pair it writes with partner
-  // -1 at the pair's even position, and closes when it arrives back at
-  // position 2j.
-  int* out = dc_aux_.data() + lo;
+  dc_stack_.reserve(kDncStackCapacity);
+  dc_stack_.clear();
+  dc_stack_.push_back(DncRange{0, m_pad, delta, 0, list});
+  while (!dc_stack_.empty()) {
+    const DncRange range = dc_stack_.back();
+    dc_stack_.pop_back();
+    // The caller's list and dc_lists_[1] both write to dc_lists_[0].
+    SortedEdge* const to = range.from == lists[0] ? lists[1] : lists[0];
+    if (range.delta == 1) {
+      paint(range.from, range.lo, range.hi, range.base, out);
+      continue;
+    }
+    if (range.delta == 2) {
+      paint_two(range.from, range.lo, range.hi, range.base, out);
+      continue;
+    }
+    if (range.delta % 2 == 1) {
+      // Peel one perfect matching, then continue on the even-degree
+      // remainder.
+      const int new_hi = peel_matching(range.from, to, range.lo, range.hi,
+                                       range.base + range.delta - 1, out);
+      dc_stack_.push_back(
+          DncRange{range.lo, new_hi, range.delta - 1, range.base, to});
+      continue;
+    }
+    const int mid = split_even(range.from, to, range.lo, range.hi);
+    dc_stack_.push_back(DncRange{mid, range.hi, range.delta / 2,
+                                 range.base + range.delta / 2, to});
+    dc_stack_.push_back(
+        DncRange{range.lo, mid, range.delta / 2, range.base, to});
+  }
+}
+
+namespace {
+
+// Walks the cycles that the left pairs (positions 2j, 2j + 1) and the
+// right pairs (`partner`) close, alternating sides along each cycle,
+// and calls side(at, mate) once per left pair with the position that
+// goes to side 0 and the one that goes to side 1. A walk from pair j
+// marks every pair it visits with partner -1 at the pair's even
+// position, and closes when it arrives back at position 2j.
+template <typename Side>
+void walk_cycles(int* partner, int half, Side side) {
   for (int j = 0; j < half; ++j) {
     if (partner[2 * j] < 0) continue;
     int at = 2 * j;  // the side-0 position of the current pair
     do {
       const int mate = at ^ 1;
-      out[at >> 1] = work[at];
-      out[half + (at >> 1)] = work[mate];
+      side(at, mate);
       const int next = partner[mate];
       partner[at & ~1] = -1;
       at = next;
     } while (at != 2 * j);
   }
-  std::copy(out, out + size, work);
+}
+
+}  // namespace
+
+// The pairing step of the position-paired Euler partition of the
+// k-regular range [lo, hi) of `from`, k even. Positions lo + 2j and
+// lo + 2j + 1 lie in one left block: they are left pair j. One pass,
+// reading the right vertices in position order, pairs the positions at
+// each right vertex through one pending slot per vertex into
+// dc_partner_. Every position then has one left and one right partner,
+// so the pairs close into cycles that alternate left and right links
+// (walk_cycles). Alternating sides along each cycle puts one edge of
+// every left pair and of every right pair on each side, so both halves
+// are (k/2)-regular.
+//
+// Positions inside are relative to lo.
+void EdgeColorer::pair_at_right(const SortedEdge* from, int lo, int hi) {
+  const SortedEdge* edge = from + lo;
+  int* partner = partner_at(lo);
+  int* pending = dc_pending_.data();
+  const int size = hi - lo;
+  int right_pairs = 0;
+  for (int i = 0; i < size; ++i) {
+    int& slot = pending[edge[i].right];
+    const int other = slot;
+    // Whether an edge opens or closes a pair is a coin flip, so this
+    // runs branch-free: `waits` is all ones when the edge opens one. An
+    // opening edge finds -1, so it writes its own entry, which its mate
+    // overwrites, and partner[-1], which no one reads, and waits in the
+    // slot. A closing edge links both ways and frees the slot.
+    const int waits = -static_cast<int>(other < 0);
+    partner[i] = other;
+    partner[other] = i;
+    slot = (i & waits) | ~waits;
+    right_pairs += 1 + waits;
+  }
+  POPS_CHECK(right_pairs == size / 2,
+             "euler split: odd degree at a right vertex of a regular range");
+}
+
+// Splits the k-regular range [lo, hi) of `from`, k even, into `to`:
+// left pair j's side-0 edge goes to position lo + j and its side-1 edge
+// to lo + (hi - lo) / 2 + j, which keeps every left block contiguous in
+// both halves. Returns the first position of the second half.
+int EdgeColorer::split_even(const SortedEdge* from, SortedEdge* to, int lo,
+                            int hi) {
+  pair_at_right(from, lo, hi);
+  const int half = (hi - lo) / 2;
+  const SortedEdge* edge = from + lo;
+  SortedEdge* first = to + lo;
+  SortedEdge* second = first + half;
+  walk_cycles(partner_at(lo), half, [&](int at, int mate) {
+    first[at >> 1] = edge[at];
+    second[at >> 1] = edge[mate];
+  });
   return lo + half;
 }
 
-// Peels one perfect matching off the k-regular range [lo, hi) (a
-// regular bipartite multigraph always has one), colors the matched real
-// edges, compacts the rest to the front in order, and returns the new
-// range end.
+// Colors the 2-regular range [lo, hi) of `from`: the split's side-0
+// edges get color `base` and its side-1 edges `base + 1`, straight from
+// the walk, since both halves would be matchings.
+void EdgeColorer::paint_two(const SortedEdge* from, int lo, int hi, int base,
+                            EdgeColoring& out) {
+  pair_at_right(from, lo, hi);
+  const int real_edges = as_int(out.color.size());
+  const SortedEdge* edge = from + lo;
+  int* color = out.color.data();
+  walk_cycles(partner_at(lo), (hi - lo) / 2, [&](int at, int mate) {
+    if (edge[at].id < real_edges) color[edge[at].id] = base;
+    if (edge[mate].id < real_edges) color[edge[mate].id] = base + 1;
+  });
+}
+
+// Peels one perfect matching off the k-regular range [lo, hi) of `from`
+// (a regular bipartite multigraph always has one), colors the matched
+// real edges, compacts the rest in order to the front of the same range
+// of `to`, and returns the new range end.
 //
 // Each free left vertex grows the matching by one augmenting path,
 // found by the random walk of Goel, Kapralov and Khanna: from the
@@ -190,12 +276,11 @@ int EdgeColorer::split_even(int lo, int hi) {
 // is seeded from the range bounds alone.
 //
 // Positions inside are relative to lo.
-int EdgeColorer::peel_matching(int lo, int hi, int color_value,
-                               EdgeColoring& out) {
+int EdgeColorer::peel_matching(const SortedEdge* from, SortedEdge* to, int lo,
+                               int hi, int color_value, EdgeColoring& out) {
   const int n = regular_n_;
   const int k = (hi - lo) / n;
-  const Edge* edges = dc_edges_.data();
-  int* work = dc_work_.data() + lo;
+  const SortedEdge* edge = from + lo;
   int* match_left = dc_match_left_.data();
   int* match_right = dc_match_right_.data();
   int* walk = dc_walk_.data();
@@ -219,9 +304,9 @@ int EdgeColorer::peel_matching(int lo, int hi, int color_value,
         p += rng.next_below(k - 1);
         p += static_cast<int>(p >= matched);
       }
-      const int right = edges[work[p]].right;
+      const int right = edge[p].right;
       const int seen = walk_at[right];
-      if (seen < length && edges[work[walk[seen]]].right == right) {
+      if (seen < length && edge[walk[seen]].right == right) {
         length = seen + 1;  // keep the step into right, drop the loop
       } else {
         walk_at[right] = length;
@@ -232,65 +317,33 @@ int EdgeColorer::peel_matching(int lo, int hi, int color_value,
     }
     for (int s = 0; s < length; ++s) {
       match_left[walk[s] / k] = walk[s];
-      match_right[edges[work[walk[s]]].right] = walk[s];
+      match_right[edge[walk[s]].right] = walk[s];
     }
   }
 
   const int real_edges = as_int(out.color.size());
   int* color = out.color.data();
+  SortedEdge* rest = to + lo;
   int write = 0;
   for (int left = 0; left < n; ++left) {
     const int matched = match_left[left];
-    if (work[matched] < real_edges) color[work[matched]] = color_value;
+    if (edge[matched].id < real_edges) color[edge[matched].id] = color_value;
     const int block_end = (left + 1) * k;
     for (int i = left * k; i < block_end; ++i) {
-      if (i != matched) work[write++] = work[i];
+      if (i != matched) rest[write++] = edge[i];
     }
   }
   return lo + write;
 }
 
-// Colors the edges at positions [lo, hi) of dc_work_, skipping padding
+// Colors the edges at positions [lo, hi) of `from`, skipping padding
 // (ids at or past the real edge count).
-void EdgeColorer::paint(int lo, int hi, int color_value,
+void EdgeColorer::paint(const SortedEdge* from, int lo, int hi, int color_value,
                         EdgeColoring& out) const {
   const int real_edges = as_int(out.color.size());
-  const int* work = dc_work_.data();
   int* color = out.color.data();
   for (int i = lo; i < hi; ++i) {
-    if (work[i] < real_edges) color[work[i]] = color_value;
-  }
-}
-
-void EdgeColorer::color_dnc(const BipartiteMultigraph& graph, int delta,
-                            EdgeColoring& out) {
-  const int m_pad = setup_regular(graph, delta);
-  out.color.assign(as_size(graph.edge_count()), -1);
-  out.num_colors = delta;
-  dc_stack_.reserve(kDncStackCapacity);
-  dc_stack_.clear();
-  dc_stack_.push_back(DncRange{0, m_pad, delta, 0});
-  while (!dc_stack_.empty()) {
-    const DncRange range = dc_stack_.back();
-    dc_stack_.pop_back();
-    if (range.delta == 1) {
-      paint(range.lo, range.hi, range.base, out);
-      continue;
-    }
-    if (range.delta % 2 == 1) {
-      // Peel one perfect matching, then continue on the even-degree
-      // remainder.
-      const int new_hi = peel_matching(range.lo, range.hi,
-                                       range.base + range.delta - 1, out);
-      dc_stack_.push_back(
-          DncRange{range.lo, new_hi, range.delta - 1, range.base});
-      continue;
-    }
-    const int mid = split_even(range.lo, range.hi);
-    dc_stack_.push_back(DncRange{mid, range.hi, range.delta / 2,
-                                 range.base + range.delta / 2});
-    dc_stack_.push_back(
-        DncRange{range.lo, mid, range.delta / 2, range.base});
+    if (from[i].id < real_edges) color[from[i].id] = color_value;
   }
 }
 
@@ -512,7 +565,7 @@ void EdgeColorer::reserve(int vertices, int max_degree,
                           ColoringAlgorithm algorithm) {
   const std::size_t side = as_size(vertices);
   // The alternating-path slot tables (vertex * delta) and the padded
-  // regular edge array (delta * max side) both hold this many.
+  // regular edge lists (delta * max side) all hold this many.
   const std::size_t padded = side * as_size(max_degree);
   switch (algorithm) {
     case ColoringAlgorithm::kAlternatingPath:
@@ -521,12 +574,11 @@ void EdgeColorer::reserve(int vertices, int max_degree,
       path_.reserve(2 * side);
       return;
     case ColoringAlgorithm::kEulerSplit:
-      dc_edges_.reserve(padded);
-      dc_work_.reserve(padded);
-      dc_aux_.reserve(padded);
-      dc_partner_.reserve(padded);
+      dc_lists_[0].reserve(padded);
+      dc_lists_[1].reserve(padded);
+      dc_partner_.reserve(padded + 1);
       dc_pending_.reserve(side);
-      dc_deg_left_.reserve(side);
+      dc_cursor_.reserve(side);
       dc_deg_right_.reserve(side);
       dc_stack_.reserve(kDncStackCapacity);
       dc_match_left_.reserve(side);
@@ -552,10 +604,10 @@ std::size_t EdgeColorer::scratch_capacity() const {
   return left_slot_.capacity() + right_slot_.capacity() +
          path_.capacity() + sizes_.capacity() + slot_a_.capacity() +
          slot_b_.capacity() + walked_.capacity() + split_fill_.capacity() +
-         spread_path_.capacity() + dc_edges_.capacity() +
-         dc_work_.capacity() + dc_aux_.capacity() +
-         dc_partner_.capacity() + dc_pending_.capacity() +
-         dc_deg_left_.capacity() + dc_deg_right_.capacity() +
+         spread_path_.capacity() + dc_lists_[0].capacity() +
+         dc_lists_[1].capacity() + dc_partner_.capacity() +
+         dc_pending_.capacity() + dc_cursor_.capacity() +
+         dc_deg_right_.capacity() +
          dc_stack_.capacity() + dc_match_left_.capacity() +
          dc_match_right_.capacity() + dc_walk_.capacity() +
          dc_walk_at_.capacity();

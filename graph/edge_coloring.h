@@ -14,7 +14,9 @@
 //     walk), and peel one perfect matching whenever the degree is odd,
 //     found by the random walk of Goel, Kapralov and Khanna (STOC
 //     2010). With Delta a power of two it never peels: O(E log Delta).
-//     The router's default for the d-regular H.
+//     The router's default for the d-regular H, which the RoutingEngine
+//     hands over as a list sorted by left vertex (color_regular), so
+//     no graph is built, padded or sorted on that path.
 //
 // Both backends return a coloring with exactly Delta colors for every
 // non-empty input (0 colors for the empty graph). The walk is seeded
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "graph/bipartite_multigraph.h"
+#include "support/span.h"
 #include "support/thread_annotations.h"
 
 namespace pops {
@@ -48,6 +51,14 @@ struct EdgeColoring {
   int num_colors = 0;
 };
 
+/// One edge of a regular multigraph listed by left vertex, as
+/// EdgeColorer::color_regular takes it: its id and its right vertex.
+/// Its left vertex is implied by its position in the list.
+struct SortedEdge {
+  int id;
+  int right;
+};
+
 /// Reusable colorer: owns all scratch for color() and spread(), so
 /// repeated colorings of same-shaped graphs perform no steady-state
 /// heap allocation (the RoutingEngine holds one per topology). Results
@@ -56,10 +67,11 @@ struct EdgeColoring {
 ///
 /// Both backends run on flat scratch. The alternating-path backend
 /// uses vertex-major color-slot tables; euler-split runs iteratively
-/// over index ranges of one padded delta-regular edge array kept sorted
-/// by left vertex. An even-degree range splits in place by pairing
-/// positions, and an odd-degree range peels a perfect matching by a
-/// random walk over the same positions. No transient
+/// over index ranges of a padded delta-regular edge list sorted by
+/// left vertex, each position holding its edge's id and right vertex.
+/// An even-degree range splits into the other of two such lists by
+/// pairing positions, and an odd-degree range peels a perfect matching
+/// by a random walk over the same positions. No transient
 /// BipartiteMultigraph, no adjacency view, no per-recursion vectors.
 ///
 /// Thread-compatible, not thread-safe: the scratch tables make every
@@ -71,6 +83,17 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   /// (out.color is resized in place).
   void color(const BipartiteMultigraph& graph,
              ColoringAlgorithm algorithm, EdgeColoring& out);
+
+  /// Euler-split on a `degree`-regular multigraph already listed by
+  /// left vertex: left vertex u's edges sit at positions
+  /// [u * degree, (u + 1) * degree) of `edges`, and the ids are a
+  /// permutation of [0, edges.size()). Colors it with `degree` colors
+  /// into `out`, indexed by id. color() with kEulerSplit pads and sorts
+  /// a graph into such a list (each left vertex's edges in id order)
+  /// and runs the same kernel, so a graph listed that way gets exactly
+  /// color()'s coloring. An empty list gets 0 colors.
+  void color_regular(Span<const SortedEdge> edges, int degree,
+                     EdgeColoring& out);
 
   /// In-place fair distribution: rebalances `coloring` (a proper
   /// coloring of `graph`) onto num_classes classes (num_classes >=
@@ -86,8 +109,9 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
 
   /// Sizes the scratch tables of `algorithm`, and only those, for
   /// graphs with at most `vertices` vertices a side and maximum degree
-  /// at most `max_degree`: coloring such a graph with that backend then
-  /// never grows the colorer.
+  /// at most `max_degree`: coloring such a graph with that backend
+  /// (through color(), or color_regular() for euler-split) then never
+  /// grows the colorer.
   void reserve(int vertices, int max_degree, ColoringAlgorithm algorithm);
 
   /// Sizes spread()'s tables for graphs with at most `vertices`
@@ -111,21 +135,34 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
                                 EdgeColoring& coloring);
 
   // Divide-and-conquer machinery. The recursion is an explicit stack
-  // of ranges [lo, hi) of dc_work_ (edge ids into dc_edges_), each
-  // delta-regular on the padded vertex set, sorted by left vertex, and
-  // owning the color block [base, base + delta).
+  // of ranges [lo, hi) of one of the edge lists, each delta-regular on
+  // the padded vertex set, sorted by left vertex, and owning the color
+  // block [base, base + delta). `from` is the list holding the range:
+  // the caller's, or one of dc_lists_.
   struct DncRange {
     int lo;
     int hi;
     int delta;
     int base;
+    const SortedEdge* from;
   };
-  int setup_regular(const BipartiteMultigraph& graph, int delta);
-  int split_even(int lo, int hi);
-  int peel_matching(int lo, int hi, int color_value, EdgeColoring& out);
-  void paint(int lo, int hi, int color_value, EdgeColoring& out) const;
   void color_dnc(const BipartiteMultigraph& graph, int delta,
                  EdgeColoring& out);
+  void color_listed(const SortedEdge* list, int vertices, int delta,
+                    int real_edges, EdgeColoring& out);
+  void pair_at_right(const SortedEdge* from, int lo, int hi);
+  int split_even(const SortedEdge* from, SortedEdge* to, int lo, int hi);
+  void paint_two(const SortedEdge* from, int lo, int hi, int base,
+                 EdgeColoring& out);
+  int peel_matching(const SortedEdge* from, SortedEdge* to, int lo, int hi,
+                    int color_value, EdgeColoring& out);
+  void paint(const SortedEdge* from, int lo, int hi, int color_value,
+             EdgeColoring& out) const;
+  // The right-pair mates of the range starting at lo, indexed from the
+  // range start. partner_at(lo)[-1] is the entry before the range
+  // (dc_partner_[0] when lo is 0), a sink for pair_at_right's opening
+  // edges that no walk of this range reads.
+  int* partner_at(int lo) { return dc_partner_.data() + 1 + lo; }
 
   // Alternating-path scratch. The slot arrays are vertex-major flat
   // tables: slot[vertex * delta + color] is the edge with that color
@@ -141,16 +178,17 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   std::vector<char> walked_;      // per vertex: far end of a walked path
   std::vector<int> spread_path_;  // one path's edges, one per vertex at most
   std::vector<int> split_fill_;   // per class: the empty class it fills
-  // Divide-and-conquer scratch: the padded regularized edge array and
-  // the flat per-position arrays the range kernels index into.
-  int regular_n_ = 0;            // padded per-side vertex count
-  std::vector<Edge> dc_edges_;   // real edges first, then padding
-  std::vector<int> dc_work_;     // padded edge ids, by position
-  std::vector<int> dc_aux_;      // split output, copied back
-  std::vector<int> dc_partner_;  // per position: its right-pair mate
-  std::vector<int> dc_pending_;  // per right vertex: unpaired position
-  std::vector<int> dc_deg_left_;
-  std::vector<int> dc_deg_right_;
+  // Divide-and-conquer scratch. Every step reads its range from one
+  // list and writes what it leaves at the same positions of the other
+  // (the ranges on the stack are disjoint, so those are free), so the
+  // two padded lists take turns. color() pads and sorts a graph into
+  // dc_lists_[1], which the first step only reads.
+  int regular_n_ = 0;                    // padded per-side vertex count
+  std::vector<SortedEdge> dc_lists_[2];  // the two lists, padded
+  std::vector<int> dc_partner_;          // see partner_at()
+  std::vector<int> dc_pending_;          // per right vertex: open position
+  std::vector<int> dc_cursor_;           // color(): left vertex cursors
+  std::vector<int> dc_deg_right_;        // color(): right vertex degrees
   std::vector<DncRange> dc_stack_;
   // Matching-peel walk scratch, one entry per padded vertex: the
   // matched position of each left and each right vertex (relative to

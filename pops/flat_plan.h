@@ -3,8 +3,10 @@
 // FlatSchedule is the one schedule layout: the RoutingEngine emits it,
 // and the simulator, verifier and benches consume it. It holds one
 // contiguous Transmission array plus the end offset of every slot.
-// Rebuilding a schedule in place (clear + begin_slot + push) reuses the
-// arrays, so bulk routing performs no steady-state heap allocation.
+// Rebuilding a schedule in place (clear, then begin_slot + push one
+// transmission at a time, or append_slots to write whole slots at
+// once) reuses the arrays, so bulk routing performs no steady-state
+// heap allocation.
 //
 // SlotPlan is a single hand-built slot: tests and one_to_all() build
 // one, Network::execute_slot runs it, and the nested HRelationPlan
@@ -54,6 +56,20 @@ class FlatSchedule {
     POPS_CHECK(slot_count() > 0, "FlatSchedule::push without a slot");
     transmissions_.push_back(transmission);
     slot_ends_.back() = as_int(transmissions_.size());
+  }
+
+  /// Appends `slots` slots of exactly `size` transmissions each and
+  /// returns their transmissions, slot after slot, for the caller to
+  /// fill: one capacity check for all of them, where push() makes one
+  /// per transmission. The pointer is valid until the next change to
+  /// the schedule.
+  Transmission* append_slots(int slots, int size) {
+    const std::size_t begin = transmissions_.size();
+    transmissions_.resize(begin + as_size(slots) * as_size(size));
+    for (int s = 1; s <= slots; ++s) {
+      slot_ends_.push_back(as_int(begin + as_size(s) * as_size(size)));
+    }
+    return transmissions_.data() + begin;
   }
 
   int slot_count() const { return as_int(slot_ends_.size()); }

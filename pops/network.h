@@ -28,6 +28,7 @@
 // TrafficServer::execute_window, hold one around every call.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -54,6 +55,15 @@ class Topology {
                "POPS(d, g) needs d * g to fit an int");
     POPS_CHECK(g <= std::numeric_limits<int>::max() / g,
                "POPS(d, g) needs g * g to fit an int");
+    // group_of divides by d with one multiply and one shift. With
+    // 2^shift >= 2^31 * d and magic = ceil(2^shift / d), the rounding
+    // error magic * d - 2^shift < d adds less than 1 / d to p / d for
+    // every int p >= 0, so the floor is exact; p * magic < 2^63.
+    while ((std::uint64_t{1} << (group_shift_ - 31)) < as_size(d)) {
+      ++group_shift_;
+    }
+    group_magic_ =
+        ((std::uint64_t{1} << group_shift_) + as_size(d) - 1) / as_size(d);
   }
 
   int d() const { return d_; }
@@ -64,7 +74,8 @@ class Topology {
   int group_of(int processor) const {
     POPS_CHECK(processor >= 0 && processor < processor_count(),
                "group_of: processor out of range");
-    return processor / d_;
+    return static_cast<int>(
+        (static_cast<std::uint64_t>(processor) * group_magic_) >> group_shift_);
   }
   int index_in_group(int processor) const {
     POPS_CHECK(processor >= 0 && processor < processor_count(),
@@ -92,6 +103,8 @@ class Topology {
  private:
   int d_;
   int g_;
+  int group_shift_ = 31;
+  std::uint64_t group_magic_ = 0;
 };
 
 struct Packet {

@@ -10,14 +10,13 @@ BatchRouter::BatchRouter(const Topology& topo,
   POPS_CHECK(config.threads >= 1, "BatchRouter needs at least one thread");
   engines_.reserve(as_size(config.threads));
   // Build every engine on the launching thread, before any worker
-  // exists. Construction sizes every routing arena from the topology;
-  // one kBest route, which always verifies, then builds the engine's
-  // simulator, so the footprint is final before any batch and workers
-  // inherit engines that never allocate again.
-  const Permutation warm_up = Permutation::identity(topo.processor_count());
+  // exists. Construction sizes every routing arena from the topology
+  // and reserve_verification() builds the simulator, so the footprint
+  // is final before any batch and workers inherit engines that never
+  // allocate again.
   for (int i = 0; i < config.threads; ++i) {
     engines_.emplace_back(topo_, config.engine);
-    engines_.back().route(warm_up, {RouteStrategy::kBest});
+    engines_.back().reserve_verification();
   }
   workers_.reserve(as_size(config.threads));
   for (int i = 0; i < config.threads; ++i) {

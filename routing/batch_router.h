@@ -44,9 +44,8 @@ struct BatchRouterConfig {
 class BatchRouter {
  public:
   /// Builds one engine per worker, which sizes every routing arena,
-  /// and routes one kBest warm-up permutation on each, which builds its
-  /// verification simulator; then starts the workers. All allocation
-  /// happens here.
+  /// and reserves each engine's verification simulator; then starts the
+  /// workers. All allocation happens here.
   explicit BatchRouter(const Topology& topo,
                        const BatchRouterConfig& config = {});
   /// Stops and joins the workers.

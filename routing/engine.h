@@ -35,13 +35,20 @@
 // g > d, Delta < g makes one batch, and H's coloring is spread onto g
 // balanced classes, at most d packets each. So the schedule has
 // 2 * ceil(Delta / g) slots (one when d == 1), which is
-// theorem2_slots(topology()) for a permutation. A permutation's H is
-// d-regular and sorted by source group, which suits the configured
-// backend (by default euler-split, graph/edge_coloring.h); a smaller
-// packet list makes H irregular, and alternating path colors it.
+// theorem2_slots(topology()) for a permutation. All n packets make H
+// d-regular, which suits the configured backend (by default
+// euler-split, graph/edge_coloring.h). Euler-split takes H as the
+// packets' destination groups listed by source group
+// (EdgeColorer::color_regular): a permutation's packet list is in that
+// order already. H is built as a graph for alternating path, for a
+// full h-relation phase not listed by source (color() sorts it), and
+// when g > d, where the spread needs it. A smaller packet list makes H
+// irregular, and alternating path colors it. One stable counting sort
+// by batch then gathers the batches, and each batch's two slots are
+// written in bulk (FlatSchedule::append_slots).
 //
-// The engine owns every intermediate object — the packet list, the
-// packet multigraphs, the edge colorings, the batch list, the coupler
+// The engine owns every intermediate object — the packet list, H as a
+// list or a graph, the edge colorings, the batch list, the coupler
 // queues of the direct builder, the verification Network and the
 // schedule — and rebuilds them in place per route. Theorem 2 is
 // oblivious: for a fixed POPS(d, g), H has g vertices a side and n
@@ -52,15 +59,17 @@
 // itself from its first call, with every backend, and no route grows
 // an arena (asserted by tests that compare scratch_footprint() with
 // the footprint at construction). The verification simulator is the
-// one arena built later, by the first verifying route, under an
-// allowance: unverified routes never touch it.
+// one arena built later: by reserve_verification(), or else by the
+// first verifying route, under an allowance. Unverified routes never
+// touch it.
 //
 // The permutation routes and route_h_relation share one packet list
 // and one schedule: schedule() is the last schedule any route built.
 // An h-relation's arenas grow with its request count R and degree h
 // alone: every phase runs on the constructor's arenas plus the
 // alternating-path tables of the traffic coloring, n * h a side, which
-// hold the g * d any phase's H needs. reserve_h_relation(R, h) sizes
+// hold the g * d any phase's H needs, plus H as a graph where the
+// constructor sized only its list. reserve_h_relation(R, h) sizes
 // them, and then every relation within those bounds routes
 // allocation-free, whichever construction its phases take.
 #pragma once
@@ -192,6 +201,12 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// routes allocation-free. Routes nothing; aborts, as
   /// route_h_relation does, on more than INT_MAX / 2 requests.
   void reserve_h_relation(int requests, int degree);
+  /// Builds the verification simulator now, sized for permutation
+  /// traffic, so that no later verifying route builds it: with it, a
+  /// verifying route (and every kBest route) touches only arenas that
+  /// exist. Routes nothing. The first verifying route calls it itself
+  /// when no one has.
+  void reserve_verification();
   /// The last schedule any route built: a permutation's, named by
   /// source, or the last route_h_relation's, named by request id.
   /// Empty before the first route.
@@ -234,6 +249,16 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   void build_direct(Span<const Transmission> packets, int max_demand,
                     FlatSchedule& out);
   void build_theorem2(Span<const Transmission> packets, FlatSchedule& out);
+  /// Colors H, one edge per packet from its source group to its
+  /// destination group (edge id = index in `packets`), into coloring_:
+  /// all n packets with the configured backend, fewer with alternating
+  /// path. A full list by source goes to euler-split as h_list_ when
+  /// lists_h(), and every other list as the graph h_.
+  void color_h(Span<const Transmission> packets);
+  /// True when a full H listed by source goes to the colorer as a
+  /// sorted list: with euler-split, unless g > d, where spread() needs
+  /// the graph.
+  bool lists_h() const;
   /// The permutation path: load_permutation fills packets_ with all n
   /// packets, named by source, and empties the phase view;
   /// emit_permutation emits them into schedule_ and records the
@@ -258,11 +283,14 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
 
   // --- Theorem 2 scratch ---
   BipartiteMultigraph h_;  // the packet multigraph H (g x g)
+  // A full H listed by source group, for EdgeColorer::color_regular.
+  std::vector<SortedEdge> h_list_;
   EdgeColorer colorer_;
   // H's coloring by packet index: Delta colors, or g classes once
   // spread (g > d).
   EdgeColoring coloring_;
-  std::vector<int> batch_packets_;  // one batch's packet indices
+  std::vector<int> batch_packets_;  // packet indices, batch by batch
+  std::vector<int> batch_offsets_;  // ceil(classes / g) + 2 entries
   std::vector<int> used_of_group_;  // intermediates taken per group
   std::vector<int> intermediate_of_;  // by source processor
   // The last schedule any route built. A permutation's holds at most
@@ -280,9 +308,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   int direct_max_demand_ = 0;
 
   // --- Verification ---
-  // Constructed on the first verifying route: the simulator's packet
-  // records, id index and stamp arrays are a large arena, and
-  // unverified routes never touch them.
+  // Constructed by reserve_verification() or the first verifying
+  // route: the simulator's packet records, id index and stamp arrays
+  // are a large arena, and unverified routes never touch them.
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 

@@ -186,7 +186,7 @@ POPS_TEST(FootprintStaysFlatAcrossSoak) {
   BatchRouter router(topo, config);
   const RouteOptions options{RouteStrategy::kBest};
   // The engines are final from construction: arenas sized by their
-  // constructors, simulators built by the warm-up route.
+  // constructors, simulators built by reserve_verification().
   const ScratchFootprint warm = router.scratch_footprint();
   EXPECT_TRUE(warm.units > 0);
   // One pass grows the caller-owned result slots to their steady-state

@@ -3,7 +3,9 @@
 // parallel edges (euler-split's matching peel), on the group
 // multigraphs H that routing actually colors, on padded window traffic
 // (validity + exactly Delta colors), and on degenerate shapes
-// (Delta = 1, n = 1, empty graph, a padded size past int).
+// (Delta = 1, n = 1, empty graph, a padded size past int) — and for
+// euler-split's list entry color_regular, which must match color() on
+// the same graph.
 #include "graph/edge_coloring.h"
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "graph/validation.h"
+#include "perm/families.h"
 #include "perm/permutation.h"
 #include "pops/network.h"
 #include "support/prng.h"
@@ -146,6 +149,72 @@ POPS_TEST(EulerSplitColoringDependsOnlyOnItsInput) {
   warm.color(input, ColoringAlgorithm::kEulerSplit, out);
   EXPECT_TRUE(out.color == fresh.color);
   EXPECT_EQ(out.num_colors, fresh.num_colors);
+}
+
+// A regular graph's edges as color_regular takes them: sorted by left
+// vertex, each left vertex's edges in id order (the order color()
+// sorts a graph into).
+std::vector<SortedEdge> sorted_by_left(const BipartiteMultigraph& graph) {
+  const int degree = graph.max_degree();
+  std::vector<SortedEdge> list(as_size(graph.edge_count()));
+  std::vector<int> next(as_size(graph.left_count()));
+  for (int u = 0; u < graph.left_count(); ++u) next[as_size(u)] = u * degree;
+  for (int e = 0; e < graph.edge_count(); ++e) {
+    list[as_size(next[as_size(graph.edge(e).left)]++)] =
+        SortedEdge{e, graph.edge(e).right};
+  }
+  return list;
+}
+
+POPS_TEST(ColorRegularMatchesColorOnTheSameGraph) {
+  // color() pads and sorts a graph into the list color_regular takes,
+  // then runs the same kernel: both entries must give one coloring. Odd
+  // degrees make the peel compact each position's id and right vertex
+  // together; the H of a group-block permutation is d parallel copies
+  // of one matching; and a colorer that colored other graphs first (in
+  // either entry) must match a fresh colorer.
+  Rng rng(38);
+  std::vector<BipartiteMultigraph> graphs;
+  for (const int n : {1, 2, 5, 16}) {
+    for (const int degree : {1, 2, 3, 5, 7, 8, 9, 12}) {
+      graphs.push_back(random_regular(n, degree, rng));
+      std::vector<Edge> edges = repeated_matching(n, degree, rng);
+      rng.shuffle(edges);
+      graphs.push_back(multigraph(n, edges));
+    }
+  }
+  for (const auto& [d, g] : {std::pair{3, 8}, {5, 4}, {7, 7}, {9, 3}}) {
+    const Topology topo(d, g);
+    std::vector<Permutation> within;
+    for (int j = 0; j < g; ++j) within.push_back(Permutation::random(d, rng));
+    const Permutation pi =
+        group_block(d, g, Permutation::random(g, rng), within);
+    BipartiteMultigraph h(g, g);
+    for (int p = 0; p < topo.processor_count(); ++p) {
+      h.add_edge(topo.group_of(p), topo.group_of(pi(p)));
+    }
+    graphs.push_back(std::move(h));
+  }
+  EdgeColorer warm;
+  EdgeColoring by_graph;
+  EdgeColoring by_list;
+  for (const BipartiteMultigraph& graph : graphs) {
+    const int degree = graph.max_degree();
+    const std::vector<SortedEdge> list = sorted_by_left(graph);
+    warm.color(graph, ColoringAlgorithm::kEulerSplit, by_graph);
+    warm.color_regular(list, degree, by_list);
+    EXPECT_TRUE(is_valid_edge_coloring(graph, by_list));
+    EXPECT_EQ(by_list.num_colors, degree);
+    EXPECT_TRUE(by_list.color == by_graph.color);
+    EdgeColoring fresh;
+    EdgeColorer().color_regular(list, degree, fresh);
+    EXPECT_TRUE(fresh.color == by_graph.color);
+    EXPECT_TRUE(color_edges(graph, ColoringAlgorithm::kEulerSplit).color ==
+                by_graph.color);
+  }
+  warm.color_regular(Span<const SortedEdge>(), 3, by_list);
+  EXPECT_EQ(by_list.num_colors, 0);
+  EXPECT_TRUE(by_list.color.empty());
 }
 
 POPS_TEST(EulerSplitRejectsAPaddedSizePastInt) {
@@ -342,8 +411,9 @@ POPS_TEST(EveryBackendHasFlatScratchAcrossSameShapedGraphs) {
 POPS_TEST(ReserveSizesEverythingItsBackendAndSpreadTouch) {
   // reserve(g, d, algorithm) sizes every table that backend touches
   // when it colors H of POPS(d, g), all n packets (d-regular) or a
-  // random subset (irregular), and only those: the other backend still
-  // grows the colorer. reserve_spread(g) then sizes every table
+  // random subset (irregular), through color() and, for euler-split on
+  // a full H, through color_regular(), and only those: the other
+  // backend still grows the colorer. reserve_spread(g) then sizes every table
   // spread() touches on such an H onto g classes (when g > d), on 3/8,
   // where d does not divide g and the swaps run, as on partial graphs.
   Rng rng(28);
@@ -371,6 +441,15 @@ POPS_TEST(ReserveSizesEverythingItsBackendAndSpreadTouch) {
       EXPECT_TRUE(reserved > 0);
       for (const BipartiteMultigraph& h : graphs) {
         colorer.color(h, algorithm, out);
+        EXPECT_TRUE(is_valid_edge_coloring(h, out));
+        EXPECT_EQ(colorer.scratch_capacity(), reserved);
+        // The list entry, on every full (d-regular) H.
+        if (algorithm != ColoringAlgorithm::kEulerSplit ||
+            h.edge_count() != n) {
+          continue;
+        }
+        const std::vector<SortedEdge> list = sorted_by_left(h);
+        colorer.color_regular(list, d, out);
         EXPECT_TRUE(is_valid_edge_coloring(h, out));
         EXPECT_EQ(colorer.scratch_capacity(), reserved);
       }

@@ -1,10 +1,14 @@
 // The RoutingEngine must (a) produce schedules that are slot-for-slot
 // verified across the (d, g) grid for every strategy and for
-// h-relations, and (b) perform no heap allocation once constructed —
+// h-relations, (b) perform no heap allocation once constructed —
 // asserted by routing repeatedly and demanding that no engine-owned
-// scratch arena ever grows past its size at construction.
+// scratch arena ever grows past its size at construction — and (c)
+// build Theorem 2 exactly as the plain reference builder in
+// tests/schedule_util.h does.
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "perm/families.h"
 #include "pops/patterns.h"
@@ -212,6 +216,113 @@ POPS_TEST(EngineIntermediatesAreConsistent) {
   }
 }
 
+// FNV-1a over schedules and int arrays.
+class Digest {
+ public:
+  void add(int value) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash_ ^= (static_cast<std::uint32_t>(value) >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(const FlatSchedule& schedule) {
+    add(schedule.slot_count());
+    for (int s = 0; s < schedule.slot_count(); ++s) {
+      add(schedule.slot(s).count());
+      for (const Transmission& t : schedule.slot(s)) {
+        add(t.source);
+        add(t.destination);
+        add(t.packet);
+      }
+    }
+  }
+  void add(const std::vector<int>& values) {
+    for (const int value : values) add(value);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// The most packets on one coupler: the direct schedule's length.
+int max_demand(const Topology& topo, Span<const Transmission> packets) {
+  std::vector<int> count(as_size(topo.coupler_count()), 0);
+  int most = 0;
+  for (const Transmission& p : packets) {
+    const int coupler = topo.coupler(topo.group_of(p.destination),
+                                     topo.group_of(p.source));
+    most = std::max(most, ++count[as_size(coupler)]);
+  }
+  return most;
+}
+
+POPS_TEST(EngineMatchesTheReferenceTheorem2BitForBit) {
+  // The engine lists H for euler-split, counting-sorts the batches and
+  // writes slots in bulk; the reference (tests/schedule_util.h) builds
+  // H as a graph, scans the list once per batch and pushes one
+  // transmission at a time. Their schedules and intermediates must be
+  // equal, on permutations and on a permutation routed as an h-relation
+  // whose requests arrive shuffled (a full phase in request order). The
+  // reference colors through the same euler-split kernel as the engine,
+  // so a digest of its output is pinned too: a kernel that pairs or
+  // walks in another order changes it.
+  constexpr std::uint64_t kPinnedDigest = 0x3d327166a66e079dull;
+  Rng rng(83);
+  Digest digest;
+  int theorem2_phases = 0;
+  for (const auto& [d, g] : {std::pair{1, 8}, {2, 8}, {3, 8}, {8, 3}, {4, 4},
+                             {5, 2}, {7, 4}, {9, 9}, {12, 12}, {16, 4}, {16, 8},
+                             {3, 16}, {8, 64}, {32, 32}, {64, 8}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    std::vector<Permutation> cases;
+    for (int k = 0; k < 3; ++k) cases.push_back(Permutation::random(n, rng));
+    cases.push_back(group_rotation(d, g, g > 1 ? 1 : 0));
+    cases.push_back(vector_reversal(n));
+    cases.push_back(make_pattern(topo, TrafficPattern::kTranspose));
+    for (const auto algorithm : kAllColoringAlgorithms) {
+      RouterOptions options;
+      options.coloring = algorithm;
+      RoutingEngine engine(topo, options);
+      std::vector<int> mids;
+      for (const Permutation& pi : cases) {
+        std::vector<Transmission> packets;
+        for (int i = 0; i < n; ++i) packets.push_back({i, pi(i), i});
+        const FlatSchedule expected =
+            testing::reference_theorem2(topo, packets, algorithm, mids);
+        EXPECT_TRUE(testing::same_schedule(
+            engine.route(pi, {RouteStrategy::kTheorem2}), expected));
+        EXPECT_TRUE(std::equal(mids.begin(), mids.end(),
+                               engine.intermediate_of().begin(),
+                               engine.intermediate_of().end()));
+        digest.add(expected);
+        digest.add(mids);
+
+        std::vector<Request> requests;
+        for (int i = 0; i < n; ++i) requests.push_back(Request{i, pi(i)});
+        rng.shuffle(requests);
+        engine.route_h_relation(requests);
+        EXPECT_EQ(engine.phase_count(), 1);
+        const Span<const Transmission> phase = engine.phase_packets(0);
+        // The phase takes Theorem 2 only when it is strictly shorter.
+        if (max_demand(topo, phase) <= 2 * ((d + g - 1) / g)) continue;
+        ++theorem2_phases;
+        const FlatSchedule phase_expected =
+            testing::reference_theorem2(topo, phase, algorithm, mids);
+        EXPECT_TRUE(testing::same_schedule(engine.schedule(), phase_expected));
+        EXPECT_TRUE(std::equal(mids.begin(), mids.end(),
+                               engine.intermediate_of().begin(),
+                               engine.intermediate_of().end()));
+        digest.add(phase_expected);
+        digest.add(mids);
+      }
+    }
+  }
+  EXPECT_TRUE(theorem2_phases > 0);
+  EXPECT_EQ(digest.value(), kPinnedDigest);
+}
+
 // The union of h random permutations: degree exactly h.
 std::vector<Request> permutation_union(int n, int h, Rng& rng) {
   std::vector<Request> requests;
@@ -253,10 +364,13 @@ POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
     relations.emplace_back();
     // One phase of all n packets, each group's on one coupler: Theorem
     // 2 wins wherever it beats d slots, and colors a d-regular H with
-    // the configured backend.
+    // the configured backend. Listed by source, then shuffled, so with
+    // euler-split and g <= d H is once a sorted list and once a graph.
     const Permutation rotation = group_rotation(d, g, 1);
     std::vector<Request> whole;
     for (int i = 0; i < n; ++i) whole.push_back(Request{i, rotation(i)});
+    relations.push_back(whole);
+    rng.shuffle(whole);
     relations.push_back(whole);
 
     for (const auto algorithm : kAllColoringAlgorithms) {

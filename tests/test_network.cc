@@ -29,6 +29,37 @@ POPS_TEST(TopologyBasics) {
   EXPECT_EQ(topo.to_string(), "POPS(3,4)");
 }
 
+POPS_TEST(GroupOfDividesExactlyOnEveryShape) {
+  // group_of divides by d with a multiply and a shift; it must equal
+  // p / d for every processor, so check the ends of the range, both
+  // sides of group boundaries and a seeded sample, on divisors around
+  // powers of two and up to INT_MAX.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  Rng rng(29);
+  for (const int d : {1, 2, 3, 7, 31, 32, 33, 65535, 65536, 65537,
+                      kMax / 2, kMax / 2 + 1, kMax}) {
+    for (const int g : {1, 2, 3, 64, 46340}) {
+      if (d > kMax / g || g > kMax / g) continue;
+      const Topology topo(d, g);
+      const int n = topo.processor_count();
+      std::vector<int> processors = {0, d - 1, n - 1};
+      if (g > 1) {
+        processors.push_back(d);
+        const int boundary = (1 + rng.next_below(g - 1)) * d;
+        processors.push_back(boundary - 1);
+        processors.push_back(boundary);
+      }
+      for (int k = 0; k < 64; ++k) processors.push_back(rng.next_below(n));
+      for (const int p : processors) {
+        const int group = topo.group_of(p);
+        EXPECT_EQ(group, p / d);
+        EXPECT_EQ(topo.index_in_group(p), p - group * d);
+        EXPECT_EQ(topo.processor(group, topo.index_in_group(p)), p);
+      }
+    }
+  }
+}
+
 POPS_TEST(CouplerRejectsOutOfRangeGroups) {
   // coupler() is an accessor like any other: out-of-range groups are a
   // caller bug and must trip POPS_CHECK, not silently index a
