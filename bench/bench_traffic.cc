@@ -2,16 +2,16 @@
 // sustained open-loop load.
 //
 // Every row is a long-running TrafficServer draining an arrival
-// generator: demands accumulate into h-relation windows, each window
-// is routed by the reused engine within the h * 2*ceil(d/g) budget
-// (every phase on its own packets) and executed on the strict
-// simulator (the server aborts on any unverified window, so a routing
-// regression kills the bench, and so does a row over its budget). The
-// soak section drives tier().soak_windows windows (overridable with
-// POPS_TRAFFIC_SOAK_WINDOWS) through the tier's first serve point and
-// checks that the server's scratch footprint stayed flat after
-// warm-up — the zero-allocation contract under system-shaped load,
-// not just per-call.
+// generator: demands accumulate into h-relation windows, each window is
+// routed by the reused engine within the h * 2*ceil(d/g) budget (every
+// phase on its own packets) and executed on the engine's strict
+// simulator (route_h_relation aborts on any window that does not
+// verify, so a routing regression kills the bench, and so does a row
+// over its budget). The soak section drives tier().soak_windows windows
+// (overridable with POPS_TRAFFIC_SOAK_WINDOWS) through the tier's first
+// serve point and checks that the server's scratch footprint stayed
+// flat after warm-up — the zero-allocation contract under system-shaped
+// load, not just per-call.
 #include <cstdlib>
 
 #include "bench_common.h"

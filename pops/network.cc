@@ -115,6 +115,37 @@ void Network::load_permutation_traffic(const Permutation& pi) {
   failure_.clear();
 }
 
+void Network::load_packets(Span<const Transmission> packets) {
+  const int n = topo_.processor_count();
+  const int count = packets.count();
+  clear_packets();
+  reserve_ids(count);
+  packets_.resize(as_size(count));
+  next_same_id_.resize(as_size(count));
+  HeldPacket* held = packets_.data();
+  int* next = next_same_id_.data();
+  int* holders = held_count_.data();
+  for (int r = 0; r < count; ++r) {
+    const Transmission& t = packets.data()[r];
+    POPS_CHECK(t.source >= 0 && t.source < n,
+               "load_packets: source out of range");
+    POPS_CHECK(t.destination >= -1 && t.destination < n,
+               "load_packets: destination out of range");
+    held[r].packet = Packet{t.packet, t.source, t.destination, 1, 0};
+    held[r].at = t.source;
+    ++holders[t.source];
+    // As load_packet: the newest record heads its id's chain.
+    IdSlot& entry = id_index_[id_slot(t.packet)];
+    if (entry.record < 0) {
+      entry.id = t.packet;
+      ++id_count_;
+    }
+    next[r] = entry.record;
+    entry.record = r;
+  }
+  failure_.clear();
+}
+
 void Network::load_packet(Packet packet) {
   POPS_CHECK(packet.source >= 0 &&
                  packet.source < topo_.processor_count(),
@@ -147,8 +178,6 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
   if (!ok()) return false;
   const long long slot_index = stats_.slots_executed;
   const int n = topo_.processor_count();
-  const int d = topo_.d();
-  const int g = topo_.g();
   ++epoch_;
   long long busy_couplers = 0;
   int unresolved = -1;  // first sender whose packet is missing
@@ -165,11 +194,9 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
       return fail("slot ", slot_index, ": destination processor ",
                   t.destination, " out of range");
     }
-    // Both ends are in range, so their groups follow by division
-    // (Topology::group_of and coupler would check the ranges again).
-    const int src_group = t.source / d;
-    const int dst_group = t.destination / d;
-    const int coupler = dst_group * g + src_group;
+    const int src_group = topo_.group_of(t.source);
+    const int dst_group = topo_.group_of(t.destination);
+    const int coupler = topo_.coupler(dst_group, src_group);
 
     // One packet per transmitting processor (multicast onto several
     // couplers is the same packet on each). Its record is looked up at

@@ -24,8 +24,8 @@
 // second moves the packets. Slot bookkeeping lives in stamped scratch
 // arrays, so executing unicast traffic performs no heap allocation
 // once the records are sized. execute() arms no allocation ban of its
-// own: both owners, the RoutingEngine's routes and
-// TrafficServer::execute_window, hold one around every call.
+// own: its one owner, the RoutingEngine, verifies inside its caller's
+// ban (route()'s own, or the TrafficServer's window ban).
 #pragma once
 
 #include <cstdint>
@@ -175,6 +175,11 @@ class POPS_THREAD_COMPATIBLE Network {
   /// ints, cheaper in registers than behind a pointer.
   void load_packet(Packet packet);
 
+  /// Replaces the traffic with one packet {id = packet, source,
+  /// destination, size 1} per entry in one pass, as clearing it and
+  /// calling load_packet per entry would (same checks). Keeps stats.
+  void load_packets(Span<const Transmission> packets);
+
   /// Executes the slots in order. Returns false (and records the
   /// failure) as soon as a slot violates the model; later slots are
   /// not executed.
@@ -219,8 +224,7 @@ class POPS_THREAD_COMPATIBLE Network {
   /// Pre-sizes the packet records and the id index for `count`
   /// packets: loading at most `count` packets then allocates nothing,
   /// and neither does executing them unicast (only a multicast copy
-  /// adds a record). The TrafficServer calls this with its window's
-  /// demand cap so steady-state serving is allocation-free.
+  /// adds a record).
   void reserve_packets(int count);
 
  private:

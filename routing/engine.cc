@@ -33,7 +33,6 @@ RoutingEngine::RoutingEngine(const Topology& topo,
   coupler_count_.reserve(as_size(topo_.coupler_count()));
   coupler_offset_.reserve(as_size(topo_.coupler_count() + 1));
   coupler_queue_.reserve(as_size(n));
-  intermediate_of_.assign(as_size(n), -1);
   if (d > 1) {
     // Theorem 2 colors H, d-regular on g + g vertices with n edges,
     // with the configured backend, batches its packets, and spreads
@@ -70,7 +69,7 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
   // The Permutation constructor already validated bijectivity.
   load_permutation(Span<const int>(pi.images()));
   emit_permutation(strategy);
-  if (options.verify || strategy == RouteStrategy::kBest) verify_or_abort(pi);
+  if (options.verify || strategy == RouteStrategy::kBest) verify_or_abort(&pi);
   return schedule_;
 }
 
@@ -261,17 +260,12 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
   const int g = topo_.g();
   const int count = packets.count();
   const Transmission* packet = packets.data();
-  int* intermediate = intermediate_of_.data();
 
   if (d == 1) {
     // One slot: processor == group, so the packets' sources and
     // destinations are pairwise distinct and every coupler carries at
     // most one packet.
-    Transmission* sent = out.append_slots(1, count);
-    for (int i = 0; i < count; ++i) {
-      sent[i] = packet[i];
-      intermediate[packet[i].source] = packet[i].source;
-    }
+    std::copy(packet, packet + count, out.append_slots(1, count));
     return;
   }
 
@@ -329,7 +323,6 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
       POPS_CHECK(mid_index < d,
                  "fair distribution overfilled an intermediate group");
       const int mid = topo_.processor(mid_group, mid_index);
-      intermediate[p.source] = mid;
       distribute[k] = Transmission{p.source, mid, p.packet};
       deliver[k] = Transmission{mid, p.destination, p.packet};
     }
@@ -395,6 +388,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
     emit(phase_packets(c), RouteStrategy::kBest, schedule_, phase_demand);
     phase_slot_offsets_.push_back(schedule_.slot_count());
   }
+  verify_or_abort(nullptr);
   return schedule_;
 }
 
@@ -420,6 +414,8 @@ void RoutingEngine::reserve_h_relation(int requests, int degree) {
   const long long max_slots = std::min<long long>(
       static_cast<long long>(degree) * theorem2_slots(topo_), requests);
   schedule_.reserve(2 * requests, static_cast<int>(max_slots));
+  reserve_verification();
+  net_->reserve_packets(requests);
 }
 
 Span<const Transmission> RoutingEngine::phase_packets(int phase) const {
@@ -434,7 +430,7 @@ void RoutingEngine::reserve_verification() {
   if (!net_.has_value()) net_.emplace(topo_);
 }
 
-void RoutingEngine::verify_or_abort(const Permutation& pi) {
+void RoutingEngine::verify_or_abort(const Permutation* pi) {
   if (!net_.has_value()) {
     // Constructing the simulator, which sizes it for permutation
     // traffic, is the one allocating step of the verify path; it
@@ -443,14 +439,20 @@ void RoutingEngine::verify_or_abort(const Permutation& pi) {
     reserve_verification();
   }
   net_->reset();
-  net_->load_permutation_traffic(pi);
-  const bool delivered = net_->execute(schedule_) && net_->all_delivered();
-  if (delivered) return;
+  if (pi != nullptr) {
+    net_->load_permutation_traffic(*pi);
+  } else {
+    net_->load_packets(packets_);
+  }
+  if (net_->execute(schedule_) && net_->all_delivered()) return;
   // Cold failure path: composing the diagnostic allocates, and the
   // abort must name the broken schedule, not trip the guard.
   ScopedAllocationAllow allow;
-  POPS_CHECK(false, str_cat("route: ", to_string(last_strategy_),
-                            " schedule failed verification: ",
+  // An h-relation's phases each had a strategy, so a window names none.
+  const std::string route =
+      pi != nullptr ? "route: " + to_string(last_strategy_) + " schedule"
+                    : "route_h_relation: window";
+  POPS_CHECK(false, str_cat(route, " failed verification: ",
                             net_->failure().empty()
                                 ? "schedule executed but left packets "
                                   "undelivered"
@@ -464,7 +466,7 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
       h_list_.capacity() + colorer_.scratch_capacity() +
       coloring_.color.capacity() + batch_packets_.capacity() +
       batch_offsets_.capacity() + used_of_group_.capacity() +
-      intermediate_of_.capacity() + schedule_.transmission_capacity() +
+      schedule_.transmission_capacity() +
       schedule_.slot_capacity() + coupler_count_.capacity() +
       coupler_offset_.capacity() + coupler_queue_.capacity() +
       image_seen_stamp_.capacity() +

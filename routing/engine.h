@@ -58,20 +58,21 @@
 // warm once constructed: every permutation route bans allocation on
 // itself from its first call, with every backend, and no route grows
 // an arena (asserted by tests that compare scratch_footprint() with
-// the footprint at construction). The verification simulator is the
-// one arena built later: by reserve_verification(), or else by the
-// first verifying route, under an allowance. Unverified routes never
-// touch it.
+// the footprint at construction). The verification simulator is built
+// later, by reserve_verification(), reserve_h_relation() or the first
+// route that verifies. Verified permutation routes (every kBest route)
+// and every route_h_relation execute schedule() on it and abort unless
+// every packet arrives; unverified permutation routes never touch it.
 //
-// The permutation routes and route_h_relation share one packet list
-// and one schedule: schedule() is the last schedule any route built.
-// An h-relation's arenas grow with its request count R and degree h
-// alone: every phase runs on the constructor's arenas plus the
-// alternating-path tables of the traffic coloring, n * h a side, which
-// hold the g * d any phase's H needs, plus H as a graph where the
-// constructor sized only its list. reserve_h_relation(R, h) sizes
-// them, and then every relation within those bounds routes
-// allocation-free, whichever construction its phases take.
+// The permutation routes and route_h_relation share one packet list and one
+// schedule: schedule() is the last schedule any route built. An h-relation's
+// arenas grow with its request count R and degree h alone: every phase runs on
+// the constructor's arenas plus the alternating-path tables of the traffic
+// coloring, n * h a side, which hold the g * d any phase's H needs, plus H as a
+// graph where the constructor sized only its list, plus the simulator's records
+// for R packets. reserve_h_relation(R, h) sizes them, and then every relation
+// within those bounds routes and verifies allocation-free, whichever
+// construction its phases take.
 #pragma once
 
 #include <iosfwd>
@@ -140,9 +141,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   RouteStrategy last_strategy() const { return last_strategy_; }
 
   /// route(pi, {RouteStrategy::kTheorem2}). The returned reference
-  /// and intermediate_of() stay valid until the next route of any kind
-  /// on this engine (an h-relation rewrites the schedule, and its
-  /// Theorem 2 phases rewrite intermediate_of()).
+  /// stays valid until the next route of any kind on this engine.
   const FlatSchedule& route_permutation(const Permutation& pi);
 
   /// Same schedule for a permutation given as its raw image array
@@ -151,11 +150,6 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// rebuild an image buffer per call route with zero steady-state
   /// allocation and no Permutation construction.
   const FlatSchedule& route_permutation(Span<const int> images);
-
-  /// Intermediate processor of each source's packet in the last
-  /// Theorem 2 schedule built for a permutation (the source itself when
-  /// the packet was routed directly, as in the d == 1 case).
-  Span<const int> intermediate_of() const { return intermediate_of_; }
 
   /// route(pi, {RouteStrategy::kDirect}): the greedy direct
   /// (no-intermediate) schedule. Every packet crosses in one hop, and
@@ -187,8 +181,10 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Phase c occupies slots [phase_slot_offsets()[c],
   /// phase_slot_offsets()[c + 1]), at most theorem2_slots(topology()).
   ///
-  /// Aborts on a request outside the topology and on more than
-  /// INT_MAX / 2 requests. Allocation-free for a relation within a
+  /// Aborts on a request outside the topology, on more than
+  /// INT_MAX / 2 requests, and, with the simulator's diagnostic, unless
+  /// the whole schedule delivers every request on the internal strict
+  /// simulator. Allocation-free for a relation within a
   /// reserve_h_relation call's bounds; no ScopedAllocationBan is armed
   /// here, because those bounds are the caller's, so callers that
   /// reserve arm one (the TrafficServer's window ban). Returns
@@ -197,15 +193,16 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const FlatSchedule& route_h_relation(Span<const Request> requests);
   /// Reserves exactly what route_h_relation touches beyond the
   /// constructor's arenas for at most `requests` requests of degree at
-  /// most `degree` (see the header comment): every such relation then
-  /// routes allocation-free. Routes nothing; aborts, as
-  /// route_h_relation does, on more than INT_MAX / 2 requests.
+  /// most `degree` (see the header comment), the simulator included:
+  /// every such relation then routes and verifies allocation-free.
+  /// Routes nothing; aborts, as route_h_relation does, on more than
+  /// INT_MAX / 2 requests.
   void reserve_h_relation(int requests, int degree);
   /// Builds the verification simulator now, sized for permutation
   /// traffic, so that no later verifying route builds it: with it, a
   /// verifying route (and every kBest route) touches only arenas that
-  /// exist. Routes nothing. The first verifying route calls it itself
-  /// when no one has.
+  /// exist. Routes nothing. The first route that verifies calls it
+  /// itself when no one has.
   void reserve_verification();
   /// The last schedule any route built: a permutation's, named by
   /// source, or the last route_h_relation's, named by request id.
@@ -266,10 +263,10 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   void load_permutation(Span<const int> images);
   void emit_permutation(RouteStrategy strategy);
   /// Executes schedule_ on the internal simulator under permutation
-  /// traffic pi and aborts with the simulator's diagnostic unless it
-  /// delivers every packet. Builds the simulator on its first call,
-  /// under an allowance.
-  void verify_or_abort(const Permutation& pi);
+  /// traffic *pi, or the h-relation's packets_ when pi is null, and
+  /// aborts with the simulator's diagnostic unless it delivers every
+  /// packet. Builds the simulator on its first call, under an allowance.
+  void verify_or_abort(const Permutation* pi);
 
   Topology topo_;
   RouterOptions options_;
@@ -292,7 +289,6 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   std::vector<int> batch_packets_;  // packet indices, batch by batch
   std::vector<int> batch_offsets_;  // ceil(classes / g) + 2 entries
   std::vector<int> used_of_group_;  // intermediates taken per group
-  std::vector<int> intermediate_of_;  // by source processor
   // The last schedule any route built. A permutation's holds at most
   // 2n transmissions over max(theorem2_slots, d) slots.
   FlatSchedule schedule_;
@@ -308,9 +304,9 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   int direct_max_demand_ = 0;
 
   // --- Verification ---
-  // Constructed by reserve_verification() or the first verifying
-  // route: the simulator's packet records, id index and stamp arrays
-  // are a large arena, and unverified routes never touch them.
+  // Built by reserve_verification(), reserve_h_relation() or the first
+  // route that verifies: the simulator's records, id index and stamp
+  // arrays are a large arena, and unverified routes never touch them.
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 

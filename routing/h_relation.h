@@ -52,9 +52,9 @@ struct HRelationPlan {
 /// into the nested layout.
 HRelationPlan h_relation_plan(const RoutingEngine& engine);
 
-/// One-shot wrapper: routes the relation on a transient engine whose
-/// Theorem 2 coloring backend `options` picks (window traffic is
-/// always colored with alternating path) and returns the nested plan.
+/// One-shot wrapper: routes and verifies the relation on a transient
+/// engine (Theorem 2 coloring backend from `options`; window traffic
+/// is always colored with alternating path) and returns the nested plan.
 HRelationPlan route_h_relation(const Topology& topo,
                                const std::vector<Request>& requests,
                                const RouterOptions& options = {});

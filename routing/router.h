@@ -59,7 +59,7 @@ enum class RouteStrategy {
   /// coupler (the direct schedule's length); only the shorter of the
   /// two schedules is built, direct on ties. The schedule returned is
   /// always verified, regardless of RouteOptions::verify. Every
-  /// h-relation phase is routed by the same rule.
+  /// h-relation phase is routed by the same rule and verified.
   kBest = 2,
 };
 

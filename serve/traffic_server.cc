@@ -5,7 +5,6 @@
 
 #include "routing/bounds.h"
 #include "support/alloc_guard.h"
-#include "support/format.h"
 
 namespace pops {
 namespace {
@@ -56,8 +55,7 @@ TrafficServer::TrafficServer(const Topology& topo,
                              const ServerConfig& config)
     : topo_(topo),
       config_(config),
-      engine_(topo, config.router),
-      net_(topo) {
+      engine_(topo, config.router) {
   POPS_CHECK(config_.max_window_degree >= 1,
              "ServerConfig: max_window_degree must be >= 1");
   POPS_CHECK(config_.max_window_demands >= 1,
@@ -78,8 +76,6 @@ TrafficServer::TrafficServer(const Topology& topo,
   demands_.reserve(as_size(widest));
   requests_.reserve(as_size(widest));
   engine_.reserve_h_relation(widest, std::min(h, widest));
-  // One packet per demand, and a window routes unicast.
-  net_.reserve_packets(widest);
 }
 
 bool TrafficServer::submit(const Demand& demand) {
@@ -125,48 +121,26 @@ void TrafficServer::flush() {
 void TrafficServer::execute_window() {
   if (demands_.empty()) return;
   // The whole window pipeline — decomposition, per-phase routing,
-  // simulation, counters — runs under the ban: the constructor reserved
+  // verification, counters — runs under the ban: the constructor reserved
   // the arenas, so any allocation aborts in POPS_ALLOC_GUARD builds.
   ScopedAllocationBan ban("TrafficServer::execute_window");
   const int h = window_degree_;
-  const int demand_count = pending_demands_locked();
 
   requests_.clear();
   for (const Demand& demand : demands_) {
     requests_.push_back(Request{demand.source, demand.destination});
   }
-  const FlatSchedule& schedule = engine_.route_h_relation(requests_);
+  // route_h_relation aborts unless every demand arrives on the engine's
+  // strict simulator, so no counter below comes from an unverified window.
+  const int slots = engine_.route_h_relation(requests_).slot_count();
   POPS_CHECK(engine_.phase_count() == h,
              "TrafficServer: window must be h-edge-colorable");
 
   const std::uint64_t exec_tick = std::max(clock_, window_max_arrival_);
 
-  // Execute on the strict simulator; the server never reports counters
-  // from a window that did not verify.
-  net_.reset();
-  for (int e = 0; e < demand_count; ++e) {
-    const Demand& demand = demands_[as_size(e)];
-    net_.load_packet(
-        Packet{e, demand.source, demand.destination, demand.payload, 0});
-  }
-  const bool executed = net_.execute(schedule);
-  if (!executed) {
-    // Cold failure path: composing the abort diagnostic allocates and
-    // must not trip the window ban — the simulator's rejection is the
-    // failure to report.
-    ScopedAllocationAllow allow;
-    POPS_CHECK(false, str_cat("TrafficServer: window rejected by the "
-                              "simulator: ",
-                              net_.failure()));
-  }
-  POPS_CHECK(net_.all_delivered(),
-             "TrafficServer: window executed but left demands "
-             "undelivered");
-
   // Counters.
-  const int slots = schedule.slot_count();
   stats_.windows_routed += 1;
-  stats_.demands_routed += demand_count;
+  stats_.demands_routed += pending_demands_locked();
   stats_.payload_flits_delivered += window_payload_;
   stats_.slots_executed += slots;
   stats_.budget_slots += h_relation_budget(topo_, h);
@@ -200,8 +174,7 @@ ScratchFootprint TrafficServer::scratch_footprint() const {
   MutexLock lock(&mu_);
   ScratchFootprint footprint = engine_.scratch_footprint();
   footprint.units += demands_.capacity() + requests_.capacity() +
-                     send_count_.capacity() + recv_count_.capacity() +
-                     net_.scratch_capacity();
+                     send_count_.capacity() + recv_count_.capacity();
   return footprint;
 }
 

@@ -6,10 +6,9 @@
 // accumulates them into a window that is always a valid h-relation
 // (the degree cap is enforced on admission, so the König decomposition
 // never sees a window of unbounded degree), and on window close hands
-// the window to its RoutingEngine's route_h_relation, which decomposes
-// and routes it. The server then executes the schedule on the strict
-// simulator and aborts rather than report counters from an unverified
-// window.
+// the window to its RoutingEngine's route_h_relation, which decomposes,
+// routes and verifies it: the server never reports counters from a
+// window that did not deliver every demand on the strict simulator.
 //
 // Time is measured in slots ("ticks"): demands carry the arrival tick
 // of their open-loop generator, a window executes at
@@ -18,15 +17,14 @@
 // the tick distance from its arrival to its window's execution,
 // aggregated in a fixed-bucket histogram (p50/p99 without allocation).
 //
-// Ownership follows the RoutingEngine discipline: the server owns its
-// window arrays, the engine (which owns every routing intermediate)
-// and the simulator, and rebuilds them in place per window. A window
-// never holds more than min(max_window_demands, n * h) demands, nor a
-// degree above h or its demand count, so the constructor reserves
-// every arena at that size (RoutingEngine::reserve_h_relation for the
-// engine) and routes nothing. scratch_footprint() is the aggregate
-// capacity the soak tests compare across thousands of windows; under
-// POPS_ALLOC_GUARD builds the contract is additionally enforced at
+// Ownership follows the RoutingEngine discipline: the server owns its window
+// arrays and the engine (which owns every routing intermediate and the
+// verifying simulator), and rebuilds them in place per window. A window never
+// holds more than min(max_window_demands, n * h) demands, nor a degree above h
+// or its demand count, so the constructor reserves every arena at that size
+// (reserve_h_relation for the engine) and routes nothing. scratch_footprint()
+// is the aggregate capacity the soak tests compare across thousands of windows;
+// under POPS_ALLOC_GUARD builds the contract is additionally enforced at
 // runtime: every window executes inside a ScopedAllocationBan.
 //
 // Unlike the engines below it, the server IS thread-safe: all mutable
@@ -184,7 +182,7 @@ class TrafficServer {
   std::vector<Request> last_window_requests() const POPS_EXCLUDES(mu_);
   HRelationPlan last_window_plan() const POPS_EXCLUDES(mu_);
 
-  /// Aggregate capacity of every server-owned arena (engine and
+  /// Aggregate capacity of every server-owned arena (the engine and its
   /// simulator included). Two equal footprints around a stretch of
   /// serving mean no steady-state allocation grew.
   ScratchFootprint scratch_footprint() const POPS_EXCLUDES(mu_);
@@ -221,7 +219,6 @@ class TrafficServer {
   // next window closes.
   std::vector<Request> requests_ POPS_GUARDED_BY(mu_);
   RoutingEngine engine_ POPS_GUARDED_BY(mu_);
-  Network net_ POPS_GUARDED_BY(mu_);
 };
 
 }  // namespace pops

@@ -1,6 +1,7 @@
 // Bitwise schedule comparison for the tests that pin one route's
-// schedule to another's, and a plain reference Theorem 2 builder that
-// the engine's schedules are pinned to.
+// schedule to another's, the relays a Theorem 2 schedule names, and a
+// plain reference Theorem 2 builder that the engine's schedules are
+// pinned to.
 #pragma once
 
 #include <vector>
@@ -30,6 +31,23 @@ inline bool same_schedule(const FlatSchedule& a, const FlatSchedule& b) {
     }
   }
   return true;
+}
+
+/// The relay of each packet of a Theorem 2 schedule, by packet id in
+/// [0, count): the receiver of its transmission in a distribute slot
+/// (slot 2q of batch q), or its source when the schedule is one slot
+/// (d == 1) and every packet goes straight; -1 for a packet the
+/// schedule never sends. For a permutation the packet id is the source.
+inline std::vector<int> relays_by_packet(const FlatSchedule& schedule,
+                                         int count) {
+  std::vector<int> relay(as_size(count), -1);
+  const bool straight = schedule.slot_count() == 1;
+  for (int s = 0; s < schedule.slot_count(); s += 2) {
+    for (const Transmission& t : schedule.slot(s)) {
+      relay[as_size(t.packet)] = straight ? t.source : t.destination;
+    }
+  }
+  return relay;
 }
 
 /// Mei & Rizzi's Theorem 2 on a packet list with pairwise distinct

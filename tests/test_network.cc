@@ -99,6 +99,87 @@ POPS_TEST(LoadPermutationTraffic) {
   EXPECT_EQ(net.buffer(1)[0].hops, 0);
 }
 
+// Field-by-field equality of two held packets.
+bool same_held(const HeldPacket& a, const HeldPacket& b) {
+  return a.at == b.at && a.packet.id == b.packet.id &&
+         a.packet.source == b.packet.source &&
+         a.packet.destination == b.packet.destination &&
+         a.packet.size == b.packet.size && a.packet.hops == b.packet.hops;
+}
+
+// True when `a` and `b` hold the same records in the same order, and
+// every processor holds, and finds by id, the same packets.
+bool same_traffic(const Network& a, const Network& b, int max_id) {
+  const Span<const HeldPacket> pa = a.packets();
+  const Span<const HeldPacket> pb = b.packets();
+  if (!std::equal(pa.begin(), pa.end(), pb.begin(), pb.end(), same_held)) {
+    return false;
+  }
+  for (int p = 0; p < a.topology().processor_count(); ++p) {
+    const PacketBuffer ba = a.buffer(p);
+    const PacketBuffer bb = b.buffer(p);
+    if (ba.size() != bb.size()) return false;
+    for (std::size_t i = 0; i < ba.size(); ++i) {
+      if (!same_held(HeldPacket{ba[i], p}, HeldPacket{bb[i], p})) return false;
+    }
+    for (int id = -1; id <= max_id; ++id) {
+      if (a.holds(p, id) != b.holds(p, id)) return false;
+    }
+  }
+  return true;
+}
+
+POPS_TEST(LoadPacketsMatchesLoadingOneByOne) {
+  // One pass over a packet list must leave what reset() and one
+  // load_packet per entry leave: the same records, holders and id
+  // chains, so every slot finds the same packets. Processor 1 sends
+  // three packets, and id 9 is loaded at processors 1 and 3.
+  const Topology topo(2, 3);
+  const std::vector<Transmission> packets = {
+      {1, 4, 9}, {0, 3, 2}, {1, 5, 7}, {3, 1, 9}, {1, 0, 4}, {5, 2, 11}};
+  Network bulk(topo);
+  bulk.load_permutation_traffic(vector_reversal(6));
+  bulk.load_packets(packets);  // replaces the permutation
+  Network single(topo);
+  single.load_permutation_traffic(vector_reversal(6));
+  single.reset();
+  for (const Transmission& t : packets) {
+    single.load_packet(Packet{t.packet, t.source, t.destination, 1, 0});
+  }
+  EXPECT_EQ(bulk.packet_count(), 6);
+  EXPECT_TRUE(same_traffic(bulk, single, 12));
+  bulk.load_packets(packets);  // loading again replaces, too
+  EXPECT_TRUE(same_traffic(bulk, single, 12));
+
+  // Both copies of id 9 move in one slot, each from its own holder;
+  // the one processor 3 sent then leaves processor 1 again. Processor 0
+  // no longer holds id 2, so both networks reject the last slot with
+  // the same diagnostic.
+  const std::vector<std::vector<Transmission>> slots = {
+      {{1, 4, 9}, {3, 1, 9}, {0, 3, 2}, {5, 2, 11}},
+      {{1, 0, 9}, {4, 5, 9}},
+      {{0, 5, 2}}};
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const Span<const Transmission> slot(slots[s]);
+    const bool executed = bulk.execute_slot(slot);
+    EXPECT_EQ(executed, s + 1 < slots.size());
+    EXPECT_EQ(single.execute_slot(slot), executed);
+    EXPECT_TRUE(same_traffic(bulk, single, 12));
+    EXPECT_EQ(bulk.all_delivered(), single.all_delivered());
+  }
+  EXPECT_EQ(bulk.failure(), single.failure());
+  EXPECT_TRUE(bulk.failure().find("does not hold packet 2") !=
+              std::string::npos);
+
+  // The range checks of load_packet.
+  const std::vector<Transmission> bad_source = {{0, 1, 0}, {6, 1, 1}};
+  EXPECT_ABORTS_WITH(bulk.load_packets(bad_source),
+                     "load_packets: source out of range");
+  const std::vector<Transmission> bad_destination = {{0, 6, 0}};
+  EXPECT_ABORTS_WITH(bulk.load_packets(bad_destination),
+                     "load_packets: destination out of range");
+}
+
 POPS_TEST(SingleSlotDelivery) {
   // POPS(1, 4): any permutation routes in one slot.
   const Topology topo(1, 4);

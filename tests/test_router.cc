@@ -6,6 +6,7 @@
 #include "routing/router.h"
 #include "routing/verify.h"
 #include "support/prng.h"
+#include "tests/schedule_util.h"
 #include "tests/testing.h"
 
 namespace pops {
@@ -164,7 +165,8 @@ POPS_TEST(Figure3WorkedExample) {
   EXPECT_TRUE(vr.ok);
   EXPECT_EQ(vr.failure, "");
 
-  const Span<const int> mids = engine.intermediate_of();
+  const std::vector<int> mids =
+      testing::relays_by_packet(schedule, topo.processor_count());
   for (int group = 0; group < topo.g(); ++group) {
     std::vector<bool> mid_groups(as_size(topo.g()), false);
     std::vector<bool> destination_groups(as_size(topo.g()), false);

@@ -1,10 +1,12 @@
 // Tests for serve/: window-close edge cases, verification of the
 // server's routed windows through the independent verify_h_relation
-// checker (including a corrupted-window negative path), and the
-// zero-steady-state-allocation soak contract.
+// checker (including a corrupted-window negative path), a pinned digest
+// of served windows, and the zero-steady-state-allocation soak
+// contract.
 #include "serve/traffic_server.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "routing/h_relation.h"
 #include "routing/verify.h"
 #include "support/alloc_guard.h"
+#include "tests/digest.h"
 #include "tests/h_relation_util.h"
 #include "tests/testing.h"
 
@@ -375,12 +378,29 @@ POPS_TEST(ReservationStopsAtTheWidestWindow) {
   EXPECT_TRUE(server.stats().slots_executed <= server.stats().budget_slots);
 }
 
+// True when some packet of `phase` makes two hops: the phase took
+// Theorem 2, whose relays a direct schedule never uses.
+bool relays(const std::vector<Request>& requests,
+            const HRelationPhase& phase) {
+  for (const SlotPlan& slot : phase.slots) {
+    for (const Transmission& t : slot.transmissions) {
+      const Request& request = requests[as_size(t.packet)];
+      if (t.source != request.source || t.destination != request.destination) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 POPS_TEST(ZipfWindowsTakeExactlyTheirPhaseLengths) {
   // Every window's slot count is the sum of its phases' exact lengths,
   // min(M, 2 * ceil(Delta / g)) each, recomputed from the requests,
   // and the window still verifies. Zipf traffic concentrates on a hot
-  // group, so both schedules win phases.
-  for (const auto& [d, g] : {std::pair{16, 8}, {4, 4}}) {
+  // group, so both schedules win phases; on 3/8 and 4/16 (g > d) a
+  // relayed phase spreads its H onto g classes.
+  for (const auto& [d, g] :
+       {std::pair{16, 8}, {4, 4}, {3, 8}, {4, 16}}) {
     const Topology topo(d, g);
     ServerConfig config;
     config.max_window_degree = 8;
@@ -391,6 +411,7 @@ POPS_TEST(ZipfWindowsTakeExactlyTheirPhaseLengths) {
     arrivals.seed = 61;
     ArrivalGenerator generator(topo, arrivals);
     long long checked = 0;
+    int relayed = 0;
     while (checked < 200) {
       const long long windows = server.stats().windows_routed;
       server.submit(generator.next());
@@ -403,11 +424,87 @@ POPS_TEST(ZipfWindowsTakeExactlyTheirPhaseLengths) {
       EXPECT_TRUE(server.last_window_slots() <=
                   h_relation_budget(topo, plan.h));
       EXPECT_EQ(verify_h_relation(topo, requests, plan), std::string());
+      for (const HRelationPhase& phase : plan.phases) {
+        if (relays(requests, phase)) ++relayed;
+      }
       ++checked;
     }
+    EXPECT_TRUE(relayed > 0);
     EXPECT_TRUE(server.stats().slots_executed <
                 server.stats().budget_slots);
   }
+}
+
+// Hashes the last window of `server`: its degree, then each phase's
+// requests and slots.
+void add_last_window(testing::Digest& digest, const TrafficServer& server) {
+  const HRelationPlan plan = server.last_window_plan();
+  digest.add(plan.h);
+  for (const HRelationPhase& phase : plan.phases) {
+    digest.add(phase.requests);
+    digest.add(as_int(phase.slots.size()));
+    for (const SlotPlan& slot : phase.slots) {
+      digest.add(as_int(slot.transmissions.size()));
+      for (const Transmission& t : slot.transmissions) {
+        digest.add(t.source);
+        digest.add(t.destination);
+        digest.add(t.packet);
+      }
+    }
+  }
+}
+
+POPS_TEST(ServedWindowsMatchTheirPinnedDigest) {
+  // Every window served, then the final counters, both delay
+  // percentiles and the clock, over four shapes (3/8 spreads each
+  // Theorem 2 phase onto g classes), every arrival process and three
+  // degree caps. A change that moves one window, one counter or one
+  // tick changes the digest.
+  constexpr std::uint64_t kPinnedDigest = 0xdffb22472ff048deull;
+  constexpr int kDemands = 1000;
+  testing::Digest digest;
+  for (const auto& [d, g] : {std::pair{16, 8}, {3, 8}, {4, 4}, {8, 3}}) {
+    const Topology topo(d, g);
+    for (const ArrivalProcess process : kAllArrivalProcesses) {
+      for (const int degree : {1, 3, 8}) {
+        ServerConfig config;
+        config.max_window_degree = degree;
+        config.max_window_demands = 256;
+        TrafficServer server(topo, config);
+        ArrivalConfig arrivals;
+        arrivals.process = process;
+        arrivals.seed = 67;
+        ArrivalGenerator generator(topo, arrivals);
+        for (int i = 0; i <= kDemands; ++i) {
+          const long long windows = server.stats().windows_routed;
+          if (i < kDemands) {
+            server.submit(generator.next());
+          } else {
+            server.flush();
+          }
+          if (server.stats().windows_routed != windows) {
+            add_last_window(digest, server);
+          }
+        }
+        const ServerStats stats = server.stats();
+        digest.add(stats.windows_routed);
+        digest.add(stats.demands_routed);
+        digest.add(stats.demands_rejected);
+        digest.add(stats.payload_flits_delivered);
+        digest.add(stats.slots_executed);
+        digest.add(stats.budget_slots);
+        digest.add(stats.max_window_degree);
+        digest.add(stats.queueing_delay.count);
+        digest.add(stats.queueing_delay.sum_low);
+        digest.add(stats.queueing_delay.sum_high);
+        digest.add(stats.queueing_delay.max);
+        digest.add(stats.queueing_delay.percentile(0.50));
+        digest.add(stats.queueing_delay.percentile(0.99));
+        digest.add(server.now());
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), kPinnedDigest);
 }
 
 POPS_TEST(HugeQueueingDelayGetsAValidBucket) {
