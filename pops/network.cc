@@ -14,7 +14,6 @@ constexpr int kMinIdSlotsLog2 = 4;
 
 Network::Network(const Topology& topo)
     : topo_(topo),
-      held_count_(as_size(topo.processor_count()), 0),
       id_index_(std::size_t{1} << kMinIdSlotsLog2, IdSlot{0, -1}),
       id_shift_(32 - kMinIdSlotsLog2),
       senders_(as_size(topo.processor_count()), Sender{0, -1, -1}),
@@ -33,7 +32,6 @@ void Network::reset() {
 void Network::clear_packets() {
   packets_.clear();
   next_same_id_.clear();
-  std::fill(held_count_.begin(), held_count_.end(), 0);
   if (id_count_ > 0) {
     std::fill(id_index_.begin(), id_index_.end(), IdSlot{0, -1});
     id_count_ = 0;
@@ -72,7 +70,6 @@ int Network::append_record(Packet packet, int at) {
   HeldPacket& held = packets_.emplace_back();
   held.packet = packet;
   held.at = at;
-  ++held_count_[as_size(at)];
   return record;
 }
 
@@ -85,11 +82,13 @@ int Network::find_packet(int processor, int packet_id) const {
 }
 
 int Network::only_packet(int processor) const {
-  if (held_count_[as_size(processor)] != 1) return -1;
+  int only = -1;
   for (std::size_t r = 0; r < packets_.size(); ++r) {
-    if (packets_[r].at == processor) return as_int(r);
+    if (packets_[r].at != processor) continue;
+    if (only >= 0) return -1;
+    only = as_int(r);
   }
-  return -1;
+  return only;
 }
 
 void Network::load_permutation_traffic(const Permutation& pi) {
@@ -104,7 +103,6 @@ void Network::load_permutation_traffic(const Permutation& pi) {
   reserve_ids(n);
   packets_.resize(as_size(n));
   next_same_id_.assign(as_size(n), -1);
-  std::fill(held_count_.begin(), held_count_.end(), 1);
   for (int source = 0; source < n; ++source) {
     HeldPacket& held = packets_[as_size(source)];
     held.packet = Packet{source, source, pi(source), 1, 0};
@@ -124,7 +122,6 @@ void Network::load_packets(Span<const Transmission> packets) {
   next_same_id_.resize(as_size(count));
   HeldPacket* held = packets_.data();
   int* next = next_same_id_.data();
-  int* holders = held_count_.data();
   for (int r = 0; r < count; ++r) {
     const Transmission& t = packets.data()[r];
     POPS_CHECK(t.source >= 0 && t.source < n,
@@ -133,7 +130,6 @@ void Network::load_packets(Span<const Transmission> packets) {
                "load_packets: destination out of range");
     held[r].packet = Packet{t.packet, t.source, t.destination, 1, 0};
     held[r].at = t.source;
-    ++holders[t.source];
     // As load_packet: the newest record heads its id's chain.
     IdSlot& entry = id_index_[id_slot(t.packet)];
     if (entry.record < 0) {
@@ -235,9 +231,11 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
   if (unresolved >= 0) {
     const int packet_id = senders_[as_size(unresolved)].packet;
     if (packet_id == -1) {
+      const auto held = std::count_if(
+          packets_.begin(), packets_.end(),
+          [unresolved](const HeldPacket& p) { return p.at == unresolved; });
       return fail("slot ", slot_index, ": processor ", unresolved,
-                  " asked to send 'any' packet but holds ",
-                  held_count_[as_size(unresolved)]);
+                  " asked to send 'any' packet but holds ", held);
     }
     return fail("slot ", slot_index, ": processor ", unresolved,
                 " does not hold packet ", packet_id);
@@ -249,8 +247,6 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
     int& record = senders_[as_size(t.source)].record;
     if (record >= 0) {
       HeldPacket& held = packets_[as_size(record)];
-      --held_count_[as_size(t.source)];
-      ++held_count_[as_size(t.destination)];
       held.at = t.destination;
       ++held.packet.hops;
       record = ~record;  // moved: the sender's later transmissions copy it
@@ -273,11 +269,26 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
   return true;
 }
 
-bool Network::all_delivered() const {
+const HeldPacket* Network::lowest_stranded() const {
+  const HeldPacket* stranded = nullptr;
   for (const HeldPacket& held : packets_) {
-    if (held.packet.destination != held.at) return false;
+    if (held.packet.destination != held.at &&
+        (stranded == nullptr || held.at < stranded->at)) {
+      stranded = &held;
+    }
   }
-  return true;
+  return stranded;
+}
+
+bool Network::all_delivered() const { return lowest_stranded() == nullptr; }
+
+std::string Network::stranded() const {
+  const HeldPacket* stranded = lowest_stranded();
+  if (stranded == nullptr) return "";
+  const Packet& packet = stranded->packet;
+  return str_cat("packet ", packet.id, " (", packet.source, " -> ",
+                 packet.destination, ") stranded at processor ",
+                 stranded->at, " after ", stats_.slots_executed, " slots");
 }
 
 PacketBuffer Network::buffer(int processor) const {
@@ -292,8 +303,7 @@ PacketBuffer Network::buffer(int processor) const {
 
 std::size_t Network::scratch_capacity() const {
   return packets_.capacity() + next_same_id_.capacity() +
-         held_count_.capacity() + id_index_.capacity() +
-         senders_.capacity() + drivers_.capacity() +
+         id_index_.capacity() + senders_.capacity() + drivers_.capacity() +
          receiver_stamp_.capacity();
 }
 

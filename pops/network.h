@@ -19,13 +19,20 @@
 // (or one hand-built SlotPlan at a time). The Network keeps one flat
 // record per held packet (the packet and the processor holding it)
 // and a flat index from packet id to record, so a transmission finds
-// its packet in O(1). A slot takes two passes over its transmissions:
-// the first checks every rule and resolves each sender's packet, the
-// second moves the packets. Slot bookkeeping lives in stamped scratch
-// arrays, so executing unicast traffic performs no heap allocation
-// once the records are sized. execute() arms no allocation ban of its
-// own: its one owner, the RoutingEngine, verifies inside its caller's
-// ban (route()'s own, or the TrafficServer's window ban).
+// its packet in O(1); a load or a move writes only those two. It
+// keeps no per-processor counts: the rare "any" send counts its
+// sender's packets by scanning the records. A slot takes two passes
+// over its transmissions: the first checks every rule and resolves
+// each sender's packet, the second moves the packets. Slot bookkeeping
+// lives in stamped scratch arrays, so executing unicast traffic
+// performs no heap allocation once the records are sized. execute()
+// arms no allocation ban of its own: its one owner, the RoutingEngine,
+// verifies inside its caller's ban (route()'s own, or the
+// TrafficServer's window ban).
+//
+// A verifier loads its traffic, executes the schedule and takes the
+// verdict: failure() names the first broken rule, and stranded() the
+// packet left away from its destination at the lowest processor.
 #pragma once
 
 #include <cstdint>
@@ -190,8 +197,14 @@ class POPS_THREAD_COMPATIBLE Network {
   }
   bool execute_slot(Span<const Transmission> transmissions);
 
-  /// True when every loaded packet sits at its destination.
+  /// True when every held packet, multicast copies included, sits at
+  /// its destination: stranded() is "".
   bool all_delivered() const;
+  /// The delivery verdict every verifier ends with: "" when every held
+  /// packet sits at its destination, else the packet held at the lowest
+  /// processor that does not, with its id, source, destination, holder
+  /// and the slots executed. Formats (allocates) only in that case.
+  std::string stranded() const;
 
   /// False after the first rejected slot; failure() says why.
   bool ok() const { return failure_.empty(); }
@@ -269,6 +282,8 @@ class POPS_THREAD_COMPATIBLE Network {
   /// holds exactly one (the "any" rule). Scans every record: only
   /// hand-built multicast slots send "any".
   int only_packet(int processor) const;
+  /// The record stranded() names, or nullptr when none is stranded.
+  const HeldPacket* lowest_stranded() const;
 
   Topology topo_;
   // One record per held packet, in load order with multicast copies
@@ -276,9 +291,9 @@ class POPS_THREAD_COMPATIBLE Network {
   // is a flat open-addressed table (Fibonacci hash, linear probing,
   // power-of-two size) sized from the packet count, never from the
   // largest id. Loading is the only way in: execute() never rehashes.
+  // Nothing is kept per processor: what a processor holds is a scan.
   std::vector<HeldPacket> packets_;
   std::vector<int> next_same_id_;  // per record; -1 ends the chain
-  std::vector<int> held_count_;    // per processor
   std::vector<IdSlot> id_index_;
   int id_shift_ = 0;  // 32 - log2(id_index_.size())
   int id_count_ = 0;  // distinct ids indexed

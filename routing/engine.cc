@@ -453,10 +453,7 @@ void RoutingEngine::verify_or_abort(const Permutation* pi) {
       pi != nullptr ? "route: " + to_string(last_strategy_) + " schedule"
                     : "route_h_relation: window";
   POPS_CHECK(false, str_cat(route, " failed verification: ",
-                            net_->failure().empty()
-                                ? "schedule executed but left packets "
-                                  "undelivered"
-                                : net_->failure()));
+                            net_->ok() ? net_->stranded() : net_->failure()));
 }
 
 ScratchFootprint RoutingEngine::scratch_footprint() const {

@@ -62,7 +62,8 @@
 // later, by reserve_verification(), reserve_h_relation() or the first
 // route that verifies. Verified permutation routes (every kBest route)
 // and every route_h_relation execute schedule() on it and abort unless
-// every packet arrives; unverified permutation routes never touch it.
+// every packet arrives, naming the broken rule or the stranded packet;
+// unverified permutation routes never touch it.
 //
 // The permutation routes and route_h_relation share one packet list and one
 // schedule: schedule() is the last schedule any route built. An h-relation's
@@ -264,8 +265,10 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   void emit_permutation(RouteStrategy strategy);
   /// Executes schedule_ on the internal simulator under permutation
   /// traffic *pi, or the h-relation's packets_ when pi is null, and
-  /// aborts with the simulator's diagnostic unless it delivers every
-  /// packet. Builds the simulator on its first call, under an allowance.
+  /// aborts unless it delivers every packet. The abort carries the
+  /// simulator's verdict: the broken rule (Network::failure()) or the
+  /// stranded packet (Network::stranded()). Builds the simulator on its
+  /// first call, under an allowance.
   void verify_or_abort(const Permutation* pi);
 
   Topology topo_;

@@ -26,19 +26,19 @@ struct VerificationResult {
 };
 
 /// Loads one packet per processor (i -> pi(i)), executes the schedule
-/// under the strict POPS model, and checks full delivery. Any model
-/// violation (oversubscribed coupler, double send/receive, phantom
-/// packet) or any undelivered/misdelivered packet fails verification
-/// with a descriptive message.
+/// under the strict POPS model, and ends with the simulator's verdict.
+/// Any model violation (oversubscribed coupler, double send/receive,
+/// phantom packet) fails with Network::failure(), and any undelivered
+/// or misdelivered packet with Network::stranded().
 VerificationResult verify_schedule(const Topology& topo,
                                    const Permutation& pi,
                                    const FlatSchedule& schedule);
 
 /// h-relation counterpart of verify_schedule: loads one packet per
 /// request (id == request index), executes every phase's slots in
-/// order under the strict POPS model, and checks that each request's
-/// packet ends at its destination with nothing stranded elsewhere.
-/// Returns "" on success, else a description of the first violation.
+/// order under the strict POPS model, and ends with the same verdict.
+/// Returns "" on success, else Network::failure() or
+/// Network::stranded().
 std::string verify_h_relation(const Topology& topo,
                               const std::vector<Request>& requests,
                               const HRelationPlan& plan);

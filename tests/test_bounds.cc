@@ -72,8 +72,10 @@ POPS_TEST(MovingBlockBoundMatchesTheorem2) {
 
 POPS_TEST(FixedBlockBoundUsesGPlusOne) {
   // Proposition 3: groups fixed, every packet displaced within its
-  // group -> 2 * ceil(d / (g + 1)).
-  for (const auto& [d, g] : {std::pair{4, 4}, {12, 3}, {32, 8}}) {
+  // group -> 2 * ceil(d / (g + 1)). At 8/2 and 10/3, unlike the other
+  // shapes, ceil(d / (g + 2)) is smaller, so g + 1 is pinned.
+  for (const auto& [d, g] :
+       {std::pair{4, 4}, {12, 3}, {32, 8}, {8, 2}, {10, 3}}) {
     const Topology topo(d, g);
     const std::vector<Permutation> within(as_size(g), cyclic_shift(d, 1));
     const Permutation pi =

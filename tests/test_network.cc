@@ -468,6 +468,63 @@ POPS_TEST(ResetAndReloadClearFailures) {
   EXPECT_EQ(net.stats().slots_executed, 0LL);
 }
 
+POPS_TEST(StrandedNamesThePacketAtTheLowestProcessor) {
+  // The delivery verdict every verifier ends with. all_delivered() must
+  // agree with it after every step.
+  const Topology topo(2, 2);
+  {
+    // Two slots leave packets 1 and 2 off their destinations. Packet 1
+    // has the earlier record, but packet 2 is held at the lower
+    // processor, so the verdict names packet 2.
+    Network net(topo);
+    net.load_permutation_traffic(vector_reversal(4));  // 0->3 1->2 2->1 3->0
+    EXPECT_EQ(net.all_delivered(), net.stranded().empty());
+    EXPECT_EQ(net.stranded(),
+              "packet 0 (0 -> 3) stranded at processor 0 after 0 slots");
+    SlotPlan first;
+    first.transmissions.push_back(Transmission{2, 0, 2});
+    first.transmissions.push_back(Transmission{0, 3, 0});
+    EXPECT_TRUE(net.execute_slot(first));
+    EXPECT_EQ(net.all_delivered(), net.stranded().empty());
+    SlotPlan second;
+    second.transmissions.push_back(Transmission{3, 0, 3});
+    EXPECT_TRUE(net.execute_slot(second));
+    EXPECT_FALSE(net.all_delivered());
+    EXPECT_EQ(net.all_delivered(), net.stranded().empty());
+    EXPECT_EQ(net.stranded(),
+              "packet 2 (2 -> 1) stranded at processor 0 after 2 slots");
+  }
+  {
+    // A multicast delivers the original home and leaves its copy at
+    // processor 1: the copy is stranded.
+    Network net(topo);
+    net.load_packet(Packet{7, 0, 3, 1, 0});
+    SlotPlan slot;
+    slot.transmissions.push_back(Transmission{0, 3, 7});
+    slot.transmissions.push_back(Transmission{0, 1, 7});
+    EXPECT_TRUE(net.execute_slot(slot));
+    EXPECT_EQ(net.buffer(3).size(), std::size_t{1});
+    EXPECT_FALSE(net.all_delivered());
+    EXPECT_EQ(net.all_delivered(), net.stranded().empty());
+    EXPECT_EQ(net.stranded(),
+              "packet 7 (0 -> 3) stranded at processor 1 after 1 slots");
+  }
+  {
+    // A schedule that delivers everything.
+    const Topology line(1, 4);
+    Network net(line);
+    net.load_permutation_traffic(vector_reversal(4));
+    SlotPlan slot;
+    for (int p = 0; p < 4; ++p) {
+      slot.transmissions.push_back(Transmission{p, 3 - p, p});
+    }
+    EXPECT_TRUE(net.execute_slot(slot));
+    EXPECT_TRUE(net.all_delivered());
+    EXPECT_EQ(net.all_delivered(), net.stranded().empty());
+    EXPECT_EQ(net.stranded(), "");
+  }
+}
+
 // The simulator's contract in its plainest form: one packet list per
 // processor. A slot is checked rule by rule in transmission order; then
 // each sender's packet is found (in order of first appearance), all of

@@ -534,6 +534,23 @@ POPS_TEST(HugeQueueingDelayGetsAValidBucket) {
             late + static_cast<std::uint64_t>(server.last_window_slots()));
 }
 
+POPS_TEST(WindowWaitsForItsLatestArrivalInAnyOrder) {
+  // Concurrent submitters can interleave arrival ticks. A window
+  // executes at its latest arrival, not at its last demand's.
+  const Topology topo(4, 4);
+  TrafficServer server(topo);
+  EXPECT_TRUE(server.submit(make_demand(0, 5, 10)));
+  EXPECT_TRUE(server.submit(make_demand(1, 6, 3)));
+  server.flush();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.windows_routed, 1);
+  // Both packets share coupler c(1, 0): two direct slots after tick 10.
+  EXPECT_EQ(server.last_window_slots(), 2);
+  EXPECT_EQ(server.now(), std::uint64_t{12});
+  EXPECT_EQ(stats.queueing_delay.max, std::uint64_t{7});
+  EXPECT_EQ(stats.queueing_delay.mean(), 3.5);
+}
+
 POPS_TEST(DelayHistogramPercentiles) {
   DelayHistogram histogram;
   EXPECT_EQ(histogram.percentile(0.5), std::uint64_t{0});
