@@ -160,6 +160,25 @@ void BM_LoadTraffic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * topo.processor_count());
 }
 
+// The same permutation as a Transmission list, through the list loader
+// every verification in RoutingEngine uses.
+void BM_LoadPackets(benchmark::State& state) {
+  const Topology topo(static_cast<int>(state.range(0)),
+                      static_cast<int>(state.range(1)));
+  const int n = topo.processor_count();
+  Rng rng(53);
+  const Permutation pi = Permutation::random(n, rng);
+  std::vector<Transmission> packets(as_size(n));
+  for (int source = 0; source < n; ++source) {
+    packets[as_size(source)] = Transmission{source, pi(source), source};
+  }
+  Network net(topo);
+  for (auto _ : state) {
+    net.load_packets(packets);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 void register_tier_benches() {
   auto* nested = benchmark::RegisterBenchmark("BM_ExecuteSchedule",
                                               BM_ExecuteSchedule);
@@ -173,9 +192,11 @@ void register_tier_benches() {
     broadcast->Args({point.d, point.g});
   }
   // Traffic loading is pure memory writes; one point (the tier's
-  // largest) captures it.
+  // largest) captures it, for each of the two loaders.
   const GridPoint largest = tier().grid.back();
   benchmark::RegisterBenchmark("BM_LoadTraffic", BM_LoadTraffic)
+      ->Args({largest.d, largest.g});
+  benchmark::RegisterBenchmark("BM_LoadPackets", BM_LoadPackets)
       ->Args({largest.d, largest.g});
 }
 

@@ -4,18 +4,10 @@
 #include <cstdint>
 
 namespace pops {
-namespace {
-
-// The id index starts at 2^4 slots and doubles; a 32-bit Fibonacci
-// hash keeps its top log2(size) bits.
-constexpr int kMinIdSlotsLog2 = 4;
-
-}  // namespace
 
 Network::Network(const Topology& topo)
     : topo_(topo),
-      id_index_(std::size_t{1} << kMinIdSlotsLog2, IdSlot{0, -1}),
-      id_shift_(32 - kMinIdSlotsLog2),
+      head_(1, -1),
       senders_(as_size(topo.processor_count()), Sender{0, -1, -1}),
       drivers_(as_size(topo.coupler_count()), Driver{0, -1}),
       receiver_stamp_(as_size(topo.processor_count()), 0) {
@@ -30,37 +22,10 @@ void Network::reset() {
 }
 
 void Network::clear_packets() {
+  if (packets_.empty()) return;
+  std::fill(head_.begin(), head_.end(), -1);
   packets_.clear();
-  next_same_id_.clear();
-  if (id_count_ > 0) {
-    std::fill(id_index_.begin(), id_index_.end(), IdSlot{0, -1});
-    id_count_ = 0;
-  }
-}
-
-std::size_t Network::id_slot(int id) const {
-  const std::size_t mask = id_index_.size() - 1;
-  std::size_t slot =
-      (static_cast<std::uint32_t>(id) * std::uint32_t{0x9E3779B9}) >>
-      id_shift_;
-  while (id_index_[slot].record >= 0 && id_index_[slot].id != id) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void Network::reserve_ids(int ids) {
-  std::size_t size = id_index_.size();
-  if (2 * as_size(ids) <= size) return;
-  while (size < 2 * as_size(ids)) {
-    size *= 2;
-    --id_shift_;
-  }
-  std::vector<IdSlot> old(size, IdSlot{0, -1});
-  old.swap(id_index_);
-  for (const IdSlot& entry : old) {
-    if (entry.record >= 0) id_index_[id_slot(entry.id)] = entry;
-  }
+  next_.clear();
 }
 
 int Network::append_record(Packet packet, int at) {
@@ -73,10 +38,24 @@ int Network::append_record(Packet packet, int at) {
   return record;
 }
 
+void Network::link(int r) {
+  int& head = head_[bucket(packets_[as_size(r)].packet.id)];
+  next_[as_size(r)] = head;
+  head = r;
+}
+
+void Network::reserve_buckets(int count) {
+  std::size_t size = head_.size();
+  if (as_size(count) <= size) return;
+  while (size < as_size(count)) size *= 2;
+  head_.assign(size, -1);
+  for (int r = 0; r < packet_count(); ++r) link(r);
+}
+
 int Network::find_packet(int processor, int packet_id) const {
-  for (int r = id_index_[id_slot(packet_id)].record; r >= 0;
-       r = next_same_id_[as_size(r)]) {
-    if (packets_[as_size(r)].at == processor) return r;
+  for (int r = head_[bucket(packet_id)]; r >= 0; r = next_[as_size(r)]) {
+    const HeldPacket& held = packets_[as_size(r)];
+    if (held.packet.id == packet_id && held.at == processor) return r;
   }
   return -1;
 }
@@ -91,55 +70,49 @@ int Network::only_packet(int processor) const {
   return only;
 }
 
+template <typename PacketOf>
+void Network::load_all(int count, PacketOf packet_of) {
+  clear_packets();
+  reserve_buckets(count);
+  packets_.resize(as_size(count));
+  next_.resize(as_size(count));
+  HeldPacket* held = packets_.data();
+  int* next = next_.data();
+  int* head = head_.data();
+  for (int r = 0; r < count; ++r) {
+    const Transmission t = packet_of(r);
+    held[r].packet = Packet{t.packet, t.source, t.destination, 1, 0};
+    held[r].at = t.source;
+    // As load_packet: the newest record heads its bucket's chain.
+    int& first = head[bucket(t.packet)];
+    next[r] = first;
+    first = r;
+  }
+  failure_.clear();
+}
+
 void Network::load_permutation_traffic(const Permutation& pi) {
   POPS_CHECK(pi.size() == topo_.processor_count(),
              "permutation size does not match the topology");
-  // Writes the records and the index directly: sources are the loop
-  // variable and a Permutation's images are in range by construction,
-  // so load_packet's range checks would be dead, and the ids are
-  // distinct, so no id chains form.
-  clear_packets();
-  const int n = pi.size();
-  reserve_ids(n);
-  packets_.resize(as_size(n));
-  next_same_id_.assign(as_size(n), -1);
-  for (int source = 0; source < n; ++source) {
-    HeldPacket& held = packets_[as_size(source)];
-    held.packet = Packet{source, source, pi(source), 1, 0};
-    held.at = source;
-    id_index_[id_slot(source)] = IdSlot{source, source};
-  }
-  id_count_ = n;
-  failure_.clear();
+  // A Permutation's images are in range by construction, so
+  // load_packet's range checks would be dead.
+  const int* image = pi.images().data();
+  load_all(pi.size(), [image](int source) {
+    return Transmission{source, image[source], source};
+  });
 }
 
 void Network::load_packets(Span<const Transmission> packets) {
   const int n = topo_.processor_count();
-  const int count = packets.count();
-  clear_packets();
-  reserve_ids(count);
-  packets_.resize(as_size(count));
-  next_same_id_.resize(as_size(count));
-  HeldPacket* held = packets_.data();
-  int* next = next_same_id_.data();
-  for (int r = 0; r < count; ++r) {
-    const Transmission& t = packets.data()[r];
+  const Transmission* packet = packets.data();
+  load_all(packets.count(), [packet, n](int r) {
+    const Transmission& t = packet[r];
     POPS_CHECK(t.source >= 0 && t.source < n,
                "load_packets: source out of range");
     POPS_CHECK(t.destination >= -1 && t.destination < n,
                "load_packets: destination out of range");
-    held[r].packet = Packet{t.packet, t.source, t.destination, 1, 0};
-    held[r].at = t.source;
-    // As load_packet: the newest record heads its id's chain.
-    IdSlot& entry = id_index_[id_slot(t.packet)];
-    if (entry.record < 0) {
-      entry.id = t.packet;
-      ++id_count_;
-    }
-    next[r] = entry.record;
-    entry.record = r;
-  }
-  failure_.clear();
+    return t;
+  });
 }
 
 void Network::load_packet(Packet packet) {
@@ -149,18 +122,12 @@ void Network::load_packet(Packet packet) {
   POPS_CHECK(packet.destination >= -1 &&
                  packet.destination < topo_.processor_count(),
              "load_packet: destination out of range");
+  // Past the bucket count (multicast copies count too), the buckets
+  // double.
+  if (packets_.size() >= head_.size()) reserve_buckets(packet_count() + 1);
   const int record = append_record(packet, packet.source);
-  std::size_t slot = id_slot(packet.id);
-  if (id_index_[slot].record < 0) {
-    if (2 * as_size(id_count_ + 1) > id_index_.size()) {
-      reserve_ids(id_count_ + 1);
-      slot = id_slot(packet.id);
-    }
-    id_index_[slot].id = packet.id;
-    ++id_count_;
-  }
-  next_same_id_.push_back(id_index_[slot].record);
-  id_index_[slot].record = record;
+  next_.push_back(-1);
+  link(record);
 }
 
 bool Network::execute(const FlatSchedule& schedule) {
@@ -251,14 +218,13 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
       ++held.packet.hops;
       record = ~record;  // moved: the sender's later transmissions copy it
     } else {
-      // The copy joins its original's id chain, so execute() never
-      // touches the id index.
+      // The copy joins its original's chain right after it, so
+      // execute() never touches the buckets.
       const int original = ~record;
       const int copy =
           append_record(packets_[as_size(original)].packet, t.destination);
-      const int next = next_same_id_[as_size(original)];
-      next_same_id_.push_back(next);
-      next_same_id_[as_size(original)] = copy;
+      next_.push_back(next_[as_size(original)]);
+      next_[as_size(original)] = copy;
     }
   }
 
@@ -269,7 +235,7 @@ bool Network::execute_slot(Span<const Transmission> transmissions) {
   return true;
 }
 
-const HeldPacket* Network::lowest_stranded() const {
+const Network::HeldPacket* Network::lowest_stranded() const {
   const HeldPacket* stranded = nullptr;
   for (const HeldPacket& held : packets_) {
     if (held.packet.destination != held.at &&
@@ -302,16 +268,16 @@ PacketBuffer Network::buffer(int processor) const {
 }
 
 std::size_t Network::scratch_capacity() const {
-  return packets_.capacity() + next_same_id_.capacity() +
-         id_index_.capacity() + senders_.capacity() + drivers_.capacity() +
+  return packets_.capacity() + next_.capacity() + head_.capacity() +
+         senders_.capacity() + drivers_.capacity() +
          receiver_stamp_.capacity();
 }
 
 void Network::reserve_packets(int count) {
   POPS_CHECK(count >= 0, "reserve_packets needs a nonnegative count");
   packets_.reserve(as_size(count));
-  next_same_id_.reserve(as_size(count));
-  reserve_ids(count);
+  next_.reserve(as_size(count));
+  reserve_buckets(count);
 }
 
 }  // namespace pops

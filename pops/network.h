@@ -17,18 +17,20 @@
 // them. Every number the benches print comes from a schedule that went
 // through this simulator. Schedules arrive as FlatSchedule slot spans
 // (or one hand-built SlotPlan at a time). The Network keeps one flat
-// record per held packet (the packet and the processor holding it)
-// and a flat index from packet id to record, so a transmission finds
-// its packet in O(1); a load or a move writes only those two. It
-// keeps no per-processor counts: the rare "any" send counts its
-// sender's packets by scanning the records. A slot takes two passes
-// over its transmissions: the first checks every rule and resolves
-// each sender's packet, the second moves the packets. Slot bookkeeping
-// lives in stamped scratch arrays, so executing unicast traffic
-// performs no heap allocation once the records are sized. execute()
-// arms no allocation ban of its own: its one owner, the RoutingEngine,
-// verifies inside its caller's ban (route()'s own, or the
-// TrafficServer's window ban).
+// record per held packet (the packet and the processor holding it),
+// chained by id bucket: the bucket of an id is its low bits, and there
+// are at least as many buckets as records loaded, so traffic with ids
+// 0..count-1 (every library caller's) puts one record in each and a
+// transmission finds its packet in one step. A load or a move writes
+// only the record and its link. The Network keeps no per-processor
+// counts: the rare "any" send counts its sender's packets by scanning
+// the records. A slot takes two passes over its transmissions: the
+// first checks every rule and resolves each sender's packet, the
+// second moves the packets. Slot bookkeeping lives in stamped scratch
+// arrays, so executing unicast traffic performs no heap allocation
+// once the records are sized. execute() arms no allocation ban of its
+// own: its one owner, the RoutingEngine, verifies inside its caller's
+// ban (route()'s own, or the TrafficServer's window ban).
 //
 // A verifier loads its traffic, executes the schedule and takes the
 // verdict: failure() names the first broken rule, and stranded() the
@@ -137,13 +139,6 @@ struct NetworkStats {
   }
 };
 
-/// One packet the Network holds (a loaded packet or a multicast copy),
-/// and the processor `at` that holds it.
-struct HeldPacket {
-  Packet packet;
-  int at;
-};
-
 /// The packets one processor holds, gathered by Network::buffer().
 /// operator[] returns by value, so `net.buffer(p)[0].id` stays valid
 /// after the gathered buffer, a temporary, is gone.
@@ -183,8 +178,8 @@ class POPS_THREAD_COMPATIBLE Network {
   void load_packet(Packet packet);
 
   /// Replaces the traffic with one packet {id = packet, source,
-  /// destination, size 1} per entry in one pass, as clearing it and
-  /// calling load_packet per entry would (same checks). Keeps stats.
+  /// destination, size 1} per entry, as clearing it and calling
+  /// load_packet per entry would (same checks). Keeps stats.
   void load_packets(Span<const Transmission> packets);
 
   /// Executes the slots in order. Returns false (and records the
@@ -212,32 +207,22 @@ class POPS_THREAD_COMPATIBLE Network {
 
   const Topology& topology() const { return topo_; }
   const NetworkStats& stats() const { return stats_; }
-  /// Every packet held, with its location, in no particular order.
-  /// Valid until the next mutating Network call.
-  Span<const HeldPacket> packets() const {
-    return Span<const HeldPacket>(packets_);
-  }
-  /// True when `processor` holds a packet with id `packet_id`: the
-  /// O(1) lookup execute() resolves each sender's packet with.
-  bool holds(int processor, int packet_id) const {
-    return find_packet(processor, packet_id) >= 0;
-  }
-  /// The packets currently held at `processor`, gathered from
-  /// packets() in O(packet_count()). Order carries no semantics:
+  /// The packets currently held at `processor`, gathered from the
+  /// records in O(packet_count()). Order carries no semantics:
   /// execute() resolves packets by id, and an "any" send needs its
   /// sender to hold exactly one packet.
   PacketBuffer buffer(int processor) const;
   int packet_count() const { return as_int(packets_.size()); }
 
-  /// Total capacity of the packet records, the id index and the slot
-  /// scratch arenas, in elements — compared across executions by the
-  /// zero-allocation tests.
+  /// Total capacity of the packet records, their links, the buckets
+  /// and the slot scratch arenas, in elements — compared across
+  /// executions by the zero-allocation tests.
   std::size_t scratch_capacity() const;
 
-  /// Pre-sizes the packet records and the id index for `count`
-  /// packets: loading at most `count` packets then allocates nothing,
-  /// and neither does executing them unicast (only a multicast copy
-  /// adds a record).
+  /// Pre-sizes the packet records, their links and the buckets for
+  /// `count` packets: loading at most `count` packets then allocates
+  /// nothing, and neither does executing them unicast (only a
+  /// multicast copy adds a record).
   void reserve_packets(int count);
 
  private:
@@ -255,26 +240,32 @@ class POPS_THREAD_COMPATIBLE Network {
     return false;
   }
 
-  /// One id-index entry: packet id `id` maps to its newest loaded
-  /// record; the other records with that id (older loads and multicast
-  /// copies) hang off next_same_id_. An entry with record == -1 is
-  /// empty.
-  struct IdSlot {
-    int id;
-    int record;
+  /// One packet the Network holds (a loaded packet or a multicast
+  /// copy), and the processor `at` that holds it.
+  struct HeldPacket {
+    Packet packet;
+    int at;
   };
 
-  /// Drops every packet and empties the id index (capacity is kept).
+  /// Drops every packet and empties the buckets (capacity is kept).
   void clear_packets();
+  /// The one loop of both bulk loaders: replaces the traffic with
+  /// `count` packets, record r holding the packet that packet_of(r)
+  /// names as a Transmission {source, destination, id}, at its source.
+  template <typename PacketOf>
+  void load_all(int count, PacketOf packet_of);
   /// Appends a record for `packet` at processor `at` and returns it;
-  /// the caller links it into its id chain.
+  /// the caller links it.
   int append_record(Packet packet, int at);
-  /// Grows the id index, if needed, to hold `ids` distinct ids at a
-  /// load factor of at most 1/2.
-  void reserve_ids(int ids);
-  /// The index slot of `id`: its entry, or the empty slot it would
-  /// take. Probing starts at a 32-bit Fibonacci hash of `id`.
-  std::size_t id_slot(int id) const;
+  /// Links record `r` at the head of its id's bucket.
+  void link(int r);
+  /// Grows the buckets, if needed, to at least `count` (a power of two)
+  /// and relinks every record.
+  void reserve_buckets(int count);
+  /// The bucket of `id`: its low bits.
+  std::size_t bucket(int id) const {
+    return static_cast<std::uint32_t>(id) & (head_.size() - 1);
+  }
   /// The record of a packet with id `packet_id` held at `processor`,
   /// or -1.
   int find_packet(int processor, int packet_id) const;
@@ -287,16 +278,15 @@ class POPS_THREAD_COMPATIBLE Network {
 
   Topology topo_;
   // One record per held packet, in load order with multicast copies
-  // appended; a transmission updates its record in place. The id index
-  // is a flat open-addressed table (Fibonacci hash, linear probing,
-  // power-of-two size) sized from the packet count, never from the
-  // largest id. Loading is the only way in: execute() never rehashes.
-  // Nothing is kept per processor: what a processor holds is a scan.
+  // appended; a transmission updates its record in place. Each record
+  // is linked into the chain of its id's bucket, newest load first; a
+  // multicast copy follows its original, so execute() never touches
+  // head_. The bucket count is a power of two, at least the records
+  // reserved or loaded, and never depends on an id. Nothing is kept per
+  // processor: what a processor holds is a scan.
   std::vector<HeldPacket> packets_;
-  std::vector<int> next_same_id_;  // per record; -1 ends the chain
-  std::vector<IdSlot> id_index_;
-  int id_shift_ = 0;  // 32 - log2(id_index_.size())
-  int id_count_ = 0;  // distinct ids indexed
+  std::vector<int> next_;  // per record; -1 ends the chain
+  std::vector<int> head_;  // per bucket: its newest record, or -1
   NetworkStats stats_;
   std::string failure_;
 

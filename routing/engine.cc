@@ -69,7 +69,7 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
   // The Permutation constructor already validated bijectivity.
   load_permutation(Span<const int>(pi.images()));
   emit_permutation(strategy);
-  if (options.verify || strategy == RouteStrategy::kBest) verify_or_abort(&pi);
+  if (options.verify || strategy == RouteStrategy::kBest) verify_or_abort();
   return schedule_;
 }
 
@@ -388,7 +388,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
     emit(phase_packets(c), RouteStrategy::kBest, schedule_, phase_demand);
     phase_slot_offsets_.push_back(schedule_.slot_count());
   }
-  verify_or_abort(nullptr);
+  verify_or_abort();
   return schedule_;
 }
 
@@ -430,7 +430,7 @@ void RoutingEngine::reserve_verification() {
   if (!net_.has_value()) net_.emplace(topo_);
 }
 
-void RoutingEngine::verify_or_abort(const Permutation* pi) {
+void RoutingEngine::verify_or_abort() {
   if (!net_.has_value()) {
     // Constructing the simulator, which sizes it for permutation
     // traffic, is the one allocating step of the verify path; it
@@ -439,19 +439,17 @@ void RoutingEngine::verify_or_abort(const Permutation* pi) {
     reserve_verification();
   }
   net_->reset();
-  if (pi != nullptr) {
-    net_->load_permutation_traffic(*pi);
-  } else {
-    net_->load_packets(packets_);
-  }
+  net_->load_packets(packets_);
   if (net_->execute(schedule_) && net_->all_delivered()) return;
   // Cold failure path: composing the diagnostic allocates, and the
   // abort must name the broken schedule, not trip the guard.
   ScopedAllocationAllow allow;
   // An h-relation's phases each had a strategy, so a window names none.
+  // Only route_h_relation fills the phase view.
   const std::string route =
-      pi != nullptr ? "route: " + to_string(last_strategy_) + " schedule"
-                    : "route_h_relation: window";
+      phase_slot_offsets_.empty()
+          ? "route: " + to_string(last_strategy_) + " schedule"
+          : "route_h_relation: window";
   POPS_CHECK(false, str_cat(route, " failed verification: ",
                             net_->ok() ? net_->stranded() : net_->failure()));
 }

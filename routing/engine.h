@@ -61,9 +61,10 @@
 // the footprint at construction). The verification simulator is built
 // later, by reserve_verification(), reserve_h_relation() or the first
 // route that verifies. Verified permutation routes (every kBest route)
-// and every route_h_relation execute schedule() on it and abort unless
-// every packet arrives, naming the broken rule or the stranded packet;
-// unverified permutation routes never touch it.
+// and every route_h_relation load the packet list on it, execute
+// schedule() and abort unless every packet arrives, naming the broken
+// rule or the stranded packet; unverified permutation routes never
+// touch it.
 //
 // The permutation routes and route_h_relation share one packet list and one
 // schedule: schedule() is the last schedule any route built. An h-relation's
@@ -263,13 +264,14 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// builder and M.
   void load_permutation(Span<const int> images);
   void emit_permutation(RouteStrategy strategy);
-  /// Executes schedule_ on the internal simulator under permutation
-  /// traffic *pi, or the h-relation's packets_ when pi is null, and
-  /// aborts unless it delivers every packet. The abort carries the
-  /// simulator's verdict: the broken rule (Network::failure()) or the
-  /// stranded packet (Network::stranded()). Builds the simulator on its
-  /// first call, under an allowance.
-  void verify_or_abort(const Permutation* pi);
+  /// Loads packets_ (a permutation's n packets or an h-relation's
+  /// requests) on the internal simulator, executes schedule_ and aborts
+  /// unless it delivers every packet. The abort names the route (a
+  /// permutation's strategy, or a window) and carries the simulator's
+  /// verdict: the broken rule (Network::failure()) or the stranded
+  /// packet (Network::stranded()). Builds the simulator on its first
+  /// call, under an allowance.
+  void verify_or_abort();
 
   Topology topo_;
   RouterOptions options_;
@@ -308,7 +310,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
 
   // --- Verification ---
   // Built by reserve_verification(), reserve_h_relation() or the first
-  // route that verifies: the simulator's records, id index and stamp
+  // route that verifies: the simulator's records, buckets and stamp
   // arrays are a large arena, and unverified routes never touch them.
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;

@@ -99,31 +99,23 @@ POPS_TEST(LoadPermutationTraffic) {
   EXPECT_EQ(net.buffer(1)[0].hops, 0);
 }
 
-// Field-by-field equality of two held packets.
-bool same_held(const HeldPacket& a, const HeldPacket& b) {
-  return a.at == b.at && a.packet.id == b.packet.id &&
-         a.packet.source == b.packet.source &&
-         a.packet.destination == b.packet.destination &&
-         a.packet.size == b.packet.size && a.packet.hops == b.packet.hops;
+// Field-by-field equality of two packets.
+bool same_packet(const Packet& a, const Packet& b) {
+  return a.id == b.id && a.source == b.source &&
+         a.destination == b.destination && a.size == b.size &&
+         a.hops == b.hops;
 }
 
-// True when `a` and `b` hold the same records in the same order, and
-// every processor holds, and finds by id, the same packets.
-bool same_traffic(const Network& a, const Network& b, int max_id) {
-  const Span<const HeldPacket> pa = a.packets();
-  const Span<const HeldPacket> pb = b.packets();
-  if (!std::equal(pa.begin(), pa.end(), pb.begin(), pb.end(), same_held)) {
-    return false;
-  }
+// True when `a` and `b` hold as many packets, and every processor holds
+// the same packets in the same order.
+bool same_traffic(const Network& a, const Network& b) {
+  if (a.packet_count() != b.packet_count()) return false;
   for (int p = 0; p < a.topology().processor_count(); ++p) {
     const PacketBuffer ba = a.buffer(p);
     const PacketBuffer bb = b.buffer(p);
-    if (ba.size() != bb.size()) return false;
-    for (std::size_t i = 0; i < ba.size(); ++i) {
-      if (!same_held(HeldPacket{ba[i], p}, HeldPacket{bb[i], p})) return false;
-    }
-    for (int id = -1; id <= max_id; ++id) {
-      if (a.holds(p, id) != b.holds(p, id)) return false;
+    if (!std::equal(ba.begin(), ba.end(), bb.begin(), bb.end(),
+                    same_packet)) {
+      return false;
     }
   }
   return true;
@@ -131,9 +123,10 @@ bool same_traffic(const Network& a, const Network& b, int max_id) {
 
 POPS_TEST(LoadPacketsMatchesLoadingOneByOne) {
   // One pass over a packet list must leave what reset() and one
-  // load_packet per entry leave: the same records, holders and id
-  // chains, so every slot finds the same packets. Processor 1 sends
-  // three packets, and id 9 is loaded at processors 1 and 3.
+  // load_packet per entry leave: the same packets at every processor,
+  // found by the same ids, so every slot moves the same packets and
+  // fails alike. Processor 1 sends three packets, and id 9 is loaded
+  // at processors 1 and 3.
   const Topology topo(2, 3);
   const std::vector<Transmission> packets = {
       {1, 4, 9}, {0, 3, 2}, {1, 5, 7}, {3, 1, 9}, {1, 0, 4}, {5, 2, 11}};
@@ -147,9 +140,9 @@ POPS_TEST(LoadPacketsMatchesLoadingOneByOne) {
     single.load_packet(Packet{t.packet, t.source, t.destination, 1, 0});
   }
   EXPECT_EQ(bulk.packet_count(), 6);
-  EXPECT_TRUE(same_traffic(bulk, single, 12));
+  EXPECT_TRUE(same_traffic(bulk, single));
   bulk.load_packets(packets);  // loading again replaces, too
-  EXPECT_TRUE(same_traffic(bulk, single, 12));
+  EXPECT_TRUE(same_traffic(bulk, single));
 
   // Both copies of id 9 move in one slot, each from its own holder;
   // the one processor 3 sent then leaves processor 1 again. Processor 0
@@ -164,7 +157,7 @@ POPS_TEST(LoadPacketsMatchesLoadingOneByOne) {
     const bool executed = bulk.execute_slot(slot);
     EXPECT_EQ(executed, s + 1 < slots.size());
     EXPECT_EQ(single.execute_slot(slot), executed);
-    EXPECT_TRUE(same_traffic(bulk, single, 12));
+    EXPECT_TRUE(same_traffic(bulk, single));
     EXPECT_EQ(bulk.all_delivered(), single.all_delivered());
   }
   EXPECT_EQ(bulk.failure(), single.failure());
@@ -709,12 +702,15 @@ bool ambiguous(const ReferenceNetwork& model, int n,
 int random_id(Rng& rng, int n) {
   constexpr int kMax = std::numeric_limits<int>::max();
   constexpr int kMin = std::numeric_limits<int>::min();
-  switch (rng.next_below(7)) {
+  switch (rng.next_below(9)) {
     case 0: return -1;
     case 1: return n + rng.next_below(3);
     case 2: return kMax - rng.next_below(3);
     case 3: return -2 - rng.next_below(3);
     case 4: return kMin + rng.next_below(2);
+    // Ids whose low 20 bits are 0 share a bucket with id 0.
+    case 5: return rng.next_below(4) * (1 << 20);
+    case 6: return kMin + rng.next_below(4) * (1 << 20);
     default: return rng.next_below(2 * n);  // duplicates are likely
   }
 }
@@ -869,6 +865,29 @@ POPS_TEST(ScratchFollowsPacketCountNotLargestId) {
   EXPECT_EQ(net.packet_count(), count);
   EXPECT_EQ(net.buffer(1)[0].id % step, 0);
   EXPECT_TRUE(net.scratch_capacity() <= 8 * as_size(count));
+
+  // The ids INT_MIN + k * 2^25 end in 25 zero bits, so they all share
+  // one bucket. The 64 even ones are loaded: each must still be found
+  // at its own holder, and an odd one at none.
+  Network shared(topo);
+  const auto id = [](long long k) {
+    return static_cast<int>(std::numeric_limits<int>::min() + (k << 25));
+  };
+  for (int k = 0; k < count; ++k) {
+    shared.load_packet(Packet{id(2 * k), k % 4, (k + 1) % 4, 1, 0});
+  }
+  EXPECT_EQ(shared.packet_count(), count);
+  EXPECT_TRUE(shared.scratch_capacity() <= 8 * as_size(count));
+  SlotPlan send;
+  send.transmissions.push_back(Transmission{1, 2, id(2 * 61)});
+  EXPECT_TRUE(shared.execute_slot(send));
+  EXPECT_EQ(shared.buffer(2).size(), std::size_t{17});
+  SlotPlan phantom;
+  phantom.transmissions.push_back(Transmission{0, 1, id(2 * 61 + 1)});
+  EXPECT_FALSE(shared.execute_slot(phantom));
+  EXPECT_TRUE(shared.failure().find(
+                  str_cat("does not hold packet ", id(2 * 61 + 1))) !=
+              std::string::npos);
 }
 
 }  // namespace
