@@ -440,12 +440,13 @@ void EdgeColorer::assign_color(int delta, int e, int u, int v, int c,
   right_slot_[right_index] = e;
 }
 
-void EdgeColorer::spread(const BipartiteMultigraph& graph,
-                         int num_classes, EdgeColoring& coloring) {
+template <typename Endpoints>
+void EdgeColorer::spread_edges(int edge_count, int vertex_count,
+                               int left_count, Endpoints endpoints,
+                               int num_classes, EdgeColoring& coloring) {
   POPS_CHECK(num_classes >= std::max(1, coloring.num_colors),
              "spread_colors: fewer classes than existing colors");
   coloring.num_colors = num_classes;
-  const int edge_count = graph.edge_count();
   sizes_.assign(as_size(num_classes), 0);
   for (const int c : coloring.color) ++sizes_[as_size(c)];
   split_into_empty_classes(edge_count, num_classes, coloring);
@@ -453,7 +454,6 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
   // Each pass moves one edge from a largest class to a smallest class
   // by flipping an alternating path, so the spread shrinks steadily;
   // the iteration bound is a safety net, not a tuning knob.
-  const int vertex_count = graph.left_count() + graph.right_count();
   const long long limit =
       2LL * static_cast<long long>(edge_count) * num_classes + 16;
   for (long long iteration = 0;; ++iteration) {
@@ -475,8 +475,9 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
     for (int e = 0; e < edge_count; ++e) {
       const int c = coloring.color[as_size(e)];
       if (c != a && c != b) continue;
-      const int u = graph.edge(e).left;
-      const int v = graph.left_count() + graph.edge(e).right;
+      const Edge ends = endpoints(e);
+      const int u = ends.left;
+      const int v = left_count + ends.right;
       auto& slots = c == a ? slot_a_ : slot_b_;
       slots[as_size(u)] = e;
       slots[as_size(v)] = e;
@@ -508,8 +509,9 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
         if (e < 0) break;
         if (!spread_path_.empty() && e == spread_path_.back()) break;
         spread_path_.push_back(e);
-        const int u = graph.edge(e).left;
-        const int v = graph.left_count() + graph.edge(e).right;
+        const Edge ends = endpoints(e);
+        const int u = ends.left;
+        const int v = left_count + ends.right;
         vertex = vertex == u ? v : u;
         want_a = 1 - want_a;
       }
@@ -526,6 +528,28 @@ void EdgeColorer::spread(const BipartiteMultigraph& graph,
     }
     POPS_CHECK(flipped, "spread_colors: no augmenting path found");
   }
+}
+
+void EdgeColorer::spread(const BipartiteMultigraph& graph,
+                         int num_classes, EdgeColoring& coloring) {
+  const Edge* edge = graph.edges().data();
+  spread_edges(graph.edge_count(), graph.left_count() + graph.right_count(),
+               graph.left_count(), [edge](int e) { return edge[e]; },
+               num_classes, coloring);
+}
+
+void EdgeColorer::spread(Span<const SortedEdge> edges, int degree,
+                         int num_classes, EdgeColoring& coloring) {
+  POPS_CHECK(degree >= 1 && edges.count() % degree == 0,
+             "spread: the list does not hold degree edges per left vertex");
+  // A regular bipartite multigraph has as many right vertices as left.
+  const int left_count = edges.count() / degree;
+  const SortedEdge* edge = edges.data();
+  const auto endpoints = [edge, degree](int e) {
+    return Edge{e / degree, edge[e].right};
+  };
+  spread_edges(edges.count(), 2 * left_count, left_count, endpoints,
+               num_classes, coloring);
 }
 
 // A proper color class is a matching, and so is every subset of one.

@@ -106,6 +106,13 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
   /// ends up with exactly edge_count / num_classes edges.
   void spread(const BipartiteMultigraph& graph, int num_classes,
               EdgeColoring& coloring);
+  /// The same spread of a `degree`-regular multigraph in the form
+  /// color_regular takes it, listed by left vertex, with ids equal to
+  /// positions (edges[i].id == i): edge i joins left vertex i / degree
+  /// to edges[i].right. Both forms read the same endpoints by edge id,
+  /// so a graph built from the list in list order spreads identically.
+  void spread(Span<const SortedEdge> edges, int degree, int num_classes,
+              EdgeColoring& coloring);
 
   /// Sizes the scratch tables of `algorithm`, and only those, for
   /// graphs with at most `vertices` vertices a side and maximum degree
@@ -131,6 +138,12 @@ class POPS_THREAD_COMPATIBLE EdgeColorer {
                  int alpha, int beta, EdgeColoring& out);
   void assign_color(int delta, int e, int u, int v, int c,
                     EdgeColoring& out);
+  /// The one body of both spread() forms: `endpoints(e)` is edge e's
+  /// Edge{left, right}.
+  template <typename Endpoints>
+  void spread_edges(int edge_count, int vertex_count, int left_count,
+                    Endpoints endpoints, int num_classes,
+                    EdgeColoring& coloring);
   void split_into_empty_classes(int edge_count, int num_classes,
                                 EdgeColoring& coloring);
 

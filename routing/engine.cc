@@ -37,10 +37,9 @@ RoutingEngine::RoutingEngine(const Topology& topo,
     // Theorem 2 colors H, d-regular on g + g vertices with n edges,
     // with the configured backend, batches its packets, and spreads
     // the coloring onto g classes when g > d. Euler-split takes H as a
-    // sorted list unless H is needed for the spread; otherwise H is a
-    // graph. With d == 1 it sends every packet in one slot and touches
-    // none of this.
-    if (lists_h()) {
+    // sorted list, every other backend as a graph. With d == 1 it sends
+    // every packet in one slot and touches none of this.
+    if (options_.coloring == ColoringAlgorithm::kEulerSplit) {
       h_list_.reserve(as_size(n));
     } else {
       h_.reserve_edges(n);
@@ -55,7 +54,7 @@ RoutingEngine::RoutingEngine(const Topology& topo,
   // Theorem 2 sends every packet twice; a direct schedule sends it
   // once, and one coupler carries at most the d packets of one group.
   schedule_.reserve(2 * n, std::max(theorem2_slots(topo_), d));
-  image_seen_stamp_.assign(as_size(n), 0);
+  seen_.assign(as_size(n), Seen{0, 0});
 }
 
 const FlatSchedule& RoutingEngine::route(const Permutation& pi,
@@ -84,14 +83,14 @@ const FlatSchedule& RoutingEngine::route_permutation(
   const int n = topo_.processor_count();
   POPS_CHECK(images.count() == n,
              "route_permutation: image array does not fit the topology");
-  ++image_epoch_;
+  const long long epoch = ++seen_epoch_;
   for (int i = 0; i < n; ++i) {
     const int v = images[as_size(i)];
     POPS_CHECK(v >= 0 && v < n,
                "route_permutation: image out of range");
-    POPS_CHECK(image_seen_stamp_[as_size(v)] != image_epoch_,
+    POPS_CHECK(seen_[as_size(v)].destination != epoch,
                "route_permutation: image array is not a permutation");
-    image_seen_stamp_[as_size(v)] = image_epoch_;
+    seen_[as_size(v)].destination = epoch;
   }
   load_permutation(images);
   emit_permutation(RouteStrategy::kTheorem2);
@@ -108,7 +107,7 @@ void RoutingEngine::load_permutation(Span<const int> images) {
              "route: permutation does not fit the topology");
   // The packets and the schedule of the last h-relation are about to be
   // overwritten, so its phases go too.
-  traffic_coloring_.num_colors = 0;
+  relation_degree_ = 0;
   phase_slot_offsets_.clear();
   packets_.resize(as_size(n));
   Transmission* packet = packets_.data();
@@ -212,22 +211,17 @@ void RoutingEngine::build_direct(Span<const Transmission> packets,
   }
 }
 
-bool RoutingEngine::lists_h() const {
-  return options_.coloring == ColoringAlgorithm::kEulerSplit &&
-         topo_.g() <= topo_.d();
-}
-
-void RoutingEngine::color_h(Span<const Transmission> packets) {
+bool RoutingEngine::color_h(Span<const Transmission> packets) {
   const int d = topo_.d();
   const int g = topo_.g();
   const int count = packets.count();
   const Transmission* packet = packets.data();
   const bool full = count == topo_.processor_count();
-  if (full && lists_h()) {
+  if (full && options_.coloring == ColoringAlgorithm::kEulerSplit) {
     // All n packets make H d-regular: source group u's d packets take
     // positions [u * d, (u + 1) * d) in list order. A list by source
     // (every permutation's) puts packet i at position i, so it is
-    // already sorted.
+    // already sorted, and its ids are its positions, as spread() needs.
     h_list_.resize(as_size(count));
     SortedEdge* list = h_list_.data();
     bool by_source = true;
@@ -237,7 +231,7 @@ void RoutingEngine::color_h(Span<const Transmission> packets) {
     }
     if (by_source) {
       colorer_.color_regular(h_list_, d, coloring_);
-      return;
+      return true;
     }
   }
   // The graph: one edge per packet, so the edge id is the packet's
@@ -252,6 +246,7 @@ void RoutingEngine::color_h(Span<const Transmission> packets) {
   const ColoringAlgorithm backend =
       full ? options_.coloring : ColoringAlgorithm::kAlternatingPath;
   colorer_.color(h_, backend, coloring_);
+  return false;
 }
 
 void RoutingEngine::build_theorem2(Span<const Transmission> packets,
@@ -269,7 +264,7 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
     return;
   }
 
-  color_h(packets);
+  const bool listed = color_h(packets);
   POPS_CHECK(coloring_.num_colors <= d,
              "Theorem 2: H must be d-edge-colorable");
 
@@ -278,9 +273,13 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
   // the two distinctness properties. Each color of H is a matching of
   // at most g packets, so when g <= d the colors themselves fit the d
   // receivers of a group. When g > d there is one batch (Delta <= d <
-  // g), and H's coloring, spread balanced onto g classes, puts at most
-  // ceil(count / g) <= d packets on each.
-  if (g > d) colorer_.spread(h_, g, coloring_);
+  // g), and H's coloring, spread balanced onto g classes from whichever
+  // form H took, puts at most ceil(count / g) <= d packets on each.
+  if (g > d && listed) {
+    colorer_.spread(h_list_, d, g, coloring_);
+  } else if (g > d) {
+    colorer_.spread(h_, g, coloring_);
+  }
   const int* color = coloring_.color.data();
   const int batches = (coloring_.num_colors + g - 1) / g;
 
@@ -329,6 +328,17 @@ void RoutingEngine::build_theorem2(Span<const Transmission> packets,
   }
 }
 
+namespace {
+
+void check_request(const Request& request, int n) {
+  POPS_CHECK(request.source >= 0 && request.source < n,
+             "route_h_relation: request source out of range");
+  POPS_CHECK(request.destination >= 0 && request.destination < n,
+             "route_h_relation: request destination out of range");
+}
+
+}  // namespace
+
 const FlatSchedule& RoutingEngine::route_h_relation(
     Span<const Request> requests) {
   // The schedule holds at most two transmissions per request, counted
@@ -336,6 +346,46 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   POPS_CHECK(requests.size() <=
                  as_size(std::numeric_limits<int>::max() / 2),
              "route_h_relation: more than INT_MAX / 2 requests");
+  if (!load_one_phase(requests)) load_konig_phases(requests);
+
+  schedule_.clear();
+  phase_slot_offsets_.assign(1, 0);
+  int phase_demand = 0;  // direct_max_demand() reports permutations only
+  for (int c = 0; c < relation_degree_; ++c) {
+    // The phase is a partial permutation (by properness, or by the
+    // degree check), so both builders take its packets as they are.
+    emit(phase_packets(c), RouteStrategy::kBest, schedule_, phase_demand);
+    phase_slot_offsets_.push_back(schedule_.slot_count());
+  }
+  verify_or_abort();
+  return schedule_;
+}
+
+bool RoutingEngine::load_one_phase(Span<const Request> requests) {
+  const int n = topo_.processor_count();
+  const int count = requests.count();
+  packets_.resize(as_size(count));
+  Transmission* packet = packets_.data();
+  Seen* seen = seen_.data();
+  const long long epoch = ++seen_epoch_;
+  for (int e = 0; e < count; ++e) {
+    const Request& request = requests[as_size(e)];
+    check_request(request, n);
+    if (seen[request.source].source == epoch) return false;
+    if (seen[request.destination].destination == epoch) return false;
+    seen[request.source].source = epoch;
+    seen[request.destination].destination = epoch;
+    packet[e] = Transmission{request.source, request.destination, e};
+  }
+  // Degree at most 1: König would give every request its one color, and
+  // its stable bucketing would keep them in request order.
+  relation_degree_ = count > 0 ? 1 : 0;
+  phase_offsets_.assign(1, 0);
+  if (count > 0) phase_offsets_.push_back(count);
+  return true;
+}
+
+void RoutingEngine::load_konig_phases(Span<const Request> requests) {
   const int n = topo_.processor_count();
   const int count = requests.count();
 
@@ -343,10 +393,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   // processor, so the edge id is the request id.
   traffic_.reset(n, n);
   for (const Request& request : requests) {
-    POPS_CHECK(request.source >= 0 && request.source < n,
-               "route_h_relation: request source out of range");
-    POPS_CHECK(request.destination >= 0 && request.destination < n,
-               "route_h_relation: request destination out of range");
+    check_request(request, n);
     traffic_.add_edge(request.source, request.destination);
   }
   // König: h colors, h the maximum degree. The traffic is irregular,
@@ -357,6 +404,7 @@ const FlatSchedule& RoutingEngine::route_h_relation(
   colorer_.color(traffic_, ColoringAlgorithm::kAlternatingPath,
                  traffic_coloring_);
   const int h = traffic_coloring_.num_colors;
+  relation_degree_ = h;
 
   // Bucket the requests by phase with a stable counting sort, so every
   // phase lists its packets in ascending request id. Counting into
@@ -378,18 +426,6 @@ const FlatSchedule& RoutingEngine::route_h_relation(
         Transmission{request.source, request.destination, e};
   }
   phase_offsets_.pop_back();
-
-  schedule_.clear();
-  phase_slot_offsets_.assign(1, 0);
-  int phase_demand = 0;  // direct_max_demand() reports permutations only
-  for (int c = 0; c < h; ++c) {
-    // By properness the phase is a partial permutation, so both
-    // builders take its packets as they are.
-    emit(phase_packets(c), RouteStrategy::kBest, schedule_, phase_demand);
-    phase_slot_offsets_.push_back(schedule_.slot_count());
-  }
-  verify_or_abort();
-  return schedule_;
 }
 
 void RoutingEngine::reserve_h_relation(int requests, int degree) {
@@ -397,15 +433,23 @@ void RoutingEngine::reserve_h_relation(int requests, int degree) {
   POPS_CHECK(requests <= std::numeric_limits<int>::max() / 2,
              "reserve_h_relation: more than INT_MAX / 2 requests");
   const int n = topo_.processor_count();
-  // A phase's H is a graph, unless it is a full phase listed by
-  // source, even where the constructor only sized a list for the
-  // permutation's.
-  if (topo_.d() > 1) h_.reserve_edges(std::min(requests, n));
-  traffic_.reset(n, n);
-  traffic_.reserve_edges(requests);
-  traffic_coloring_.color.reserve(as_size(requests));
-  // n * h slots a side, at least the g * d an irregular phase H needs.
-  colorer_.reserve(n, degree, ColoringAlgorithm::kAlternatingPath);
+  const int d = topo_.d();
+  if (d > 1) {
+    // A phase's H is a graph, unless it is a full phase listed by
+    // source, even where the constructor only sized a list for the
+    // permutation's; an irregular one (g vertices a side, degree at
+    // most d) goes to alternating path.
+    h_.reserve_edges(std::min(requests, n));
+    colorer_.reserve(topo_.g(), d, ColoringAlgorithm::kAlternatingPath);
+  }
+  if (degree > 1) {
+    // Only a relation that repeats a source or a destination builds and
+    // colors the traffic multigraph: n * h slots a side.
+    traffic_.reset(n, n);
+    traffic_.reserve_edges(requests);
+    traffic_coloring_.color.reserve(as_size(requests));
+    colorer_.reserve(n, degree, ColoringAlgorithm::kAlternatingPath);
+  }
   phase_offsets_.reserve(as_size(degree) + 2);
   phase_slot_offsets_.reserve(as_size(degree) + 1);
   packets_.reserve(as_size(requests));
@@ -464,7 +508,7 @@ ScratchFootprint RoutingEngine::scratch_footprint() const {
       schedule_.transmission_capacity() +
       schedule_.slot_capacity() + coupler_count_.capacity() +
       coupler_offset_.capacity() + coupler_queue_.capacity() +
-      image_seen_stamp_.capacity() +
+      seen_.capacity() +
       (net_.has_value() ? net_->scratch_capacity() : 0) +
       traffic_.scratch_capacity() + traffic_coloring_.color.capacity() +
       phase_offsets_.capacity() + phase_slot_offsets_.capacity();

@@ -40,12 +40,13 @@
 // euler-split, graph/edge_coloring.h). Euler-split takes H as the
 // packets' destination groups listed by source group
 // (EdgeColorer::color_regular): a permutation's packet list is in that
-// order already. H is built as a graph for alternating path, for a
+// order already, and when g > d EdgeColorer::spread balances that list
+// too. H is a graph only in three cases: with alternating path, for a
 // full h-relation phase not listed by source (color() sorts it), and
-// when g > d, where the spread needs it. A smaller packet list makes H
-// irregular, and alternating path colors it. One stable counting sort
-// by batch then gathers the batches, and each batch's two slots are
-// written in bulk (FlatSchedule::append_slots).
+// for a smaller packet list, which makes H irregular and which
+// alternating path colors. One stable counting sort by batch then
+// gathers the batches, and each batch's two slots are written in bulk
+// (FlatSchedule::append_slots).
 //
 // The engine owns every intermediate object — the packet list, H as a
 // list or a graph, the edge colorings, the batch list, the coupler
@@ -67,12 +68,15 @@
 // touch it.
 //
 // The permutation routes and route_h_relation share one packet list and one
-// schedule: schedule() is the last schedule any route built. An h-relation's
+// schedule: schedule() is the last schedule any route built. A relation of
+// degree at most 1 is one phase in request order, as König's one color would
+// give it, so it builds no traffic multigraph and skips König. An h-relation's
 // arenas grow with its request count R and degree h alone: every phase runs on
-// the constructor's arenas plus the alternating-path tables of the traffic
-// coloring, n * h a side, which hold the g * d any phase's H needs, plus H as a
-// graph where the constructor sized only its list, plus the simulator's records
-// for R packets. reserve_h_relation(R, h) sizes them, and then every relation
+// the constructor's arenas plus H as a graph where the constructor sized only
+// its list, the alternating-path tables of an irregular H (g vertices a side,
+// degree at most d) and the simulator's records for R packets; with h >= 2 the
+// traffic multigraph, its coloring and alternating-path tables of n * h a side
+// join them. reserve_h_relation(R, h) sizes them, and then every relation
 // within those bounds routes and verifies allocation-free, whichever
 // construction its phases take.
 #pragma once
@@ -176,10 +180,12 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// h of the requests. König colors the traffic multigraph (one edge
   /// per request) with h colors; each color class is a partial
   /// permutation, one phase, routed on its own packets named by request
-  /// id. One pass over a phase finds M, the most of its packets on one
-  /// coupler, and Delta, the most one group sends or receives; the
-  /// phase then gets only the shorter schedule, direct (M slots, which
-  /// wins ties) or Theorem 2 (2 * ceil(Delta / g)), by the kBest rule.
+  /// id. Unless a source or a destination repeats, the relation is that
+  /// one phase in request order, and no graph is built. One pass over a
+  /// phase finds M, the most of its packets on one coupler, and Delta,
+  /// the most one group sends or receives; the phase then gets only the
+  /// shorter schedule, direct (M slots, which wins ties) or Theorem 2
+  /// (2 * ceil(Delta / g)), by the kBest rule.
   /// Phase c occupies slots [phase_slot_offsets()[c],
   /// phase_slot_offsets()[c + 1]), at most theorem2_slots(topology()).
   ///
@@ -196,9 +202,11 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Reserves exactly what route_h_relation touches beyond the
   /// constructor's arenas for at most `requests` requests of degree at
   /// most `degree` (see the header comment), the simulator included:
-  /// every such relation then routes and verifies allocation-free.
-  /// Routes nothing; aborts, as route_h_relation does, on more than
-  /// INT_MAX / 2 requests.
+  /// every such relation then routes and verifies allocation-free. With
+  /// degree <= 1 nothing is reserved for the traffic multigraph or its
+  /// coloring, which such a relation never builds. Routes nothing;
+  /// aborts, as route_h_relation does, on more than INT_MAX / 2
+  /// requests.
   void reserve_h_relation(int requests, int degree);
   /// Builds the verification simulator now, sized for permutation
   /// traffic, so that no later verifying route builds it: with it, a
@@ -212,7 +220,7 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   const FlatSchedule& schedule() const { return schedule_; }
   /// Phases of the last route_h_relation: its degree h. 0 before the
   /// first and after a permutation route.
-  int phase_count() const { return traffic_coloring_.num_colors; }
+  int phase_count() const { return relation_degree_; }
   /// Packets of phase `phase` of the last route_h_relation, in
   /// ascending request id: each names its request's source and
   /// destination, and its packet id is the request id.
@@ -251,19 +259,20 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// Colors H, one edge per packet from its source group to its
   /// destination group (edge id = index in `packets`), into coloring_:
   /// all n packets with the configured backend, fewer with alternating
-  /// path. A full list by source goes to euler-split as h_list_ when
-  /// lists_h(), and every other list as the graph h_.
-  void color_h(Span<const Transmission> packets);
-  /// True when a full H listed by source goes to the colorer as a
-  /// sorted list: with euler-split, unless g > d, where spread() needs
-  /// the graph.
-  bool lists_h() const;
+  /// path. A full list by source goes to euler-split as h_list_, and
+  /// every other list as the graph h_. Returns true when H is h_list_.
+  bool color_h(Span<const Transmission> packets);
   /// The permutation path: load_permutation fills packets_ with all n
   /// packets, named by source, and empties the phase view;
   /// emit_permutation emits them into schedule_ and records the
   /// builder and M.
   void load_permutation(Span<const int> images);
   void emit_permutation(RouteStrategy strategy);
+  /// route_h_relation's two ways to fill packets_ and the phases: one
+  /// phase in request order, unless the range-check pass finds a source
+  /// or a destination repeated (false), or König's h color classes.
+  bool load_one_phase(Span<const Request> requests);
+  void load_konig_phases(Span<const Request> requests);
   /// Loads packets_ (a permutation's n packets or an h-relation's
   /// requests) on the internal simulator, executes schedule_ and aborts
   /// unless it delivers every packet. The abort names the route (a
@@ -297,10 +306,17 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   // The last schedule any route built. A permutation's holds at most
   // 2n transmissions over max(theorem2_slots, d) slots.
   FlatSchedule schedule_;
-  // Bijectivity check of the Span overload: seen[v] is valid only when
-  // stamped with the current validation epoch, so no clearing pass.
-  std::vector<long long> image_seen_stamp_;
-  long long image_epoch_ = 0;
+  // Per-processor marks of the traffic being checked: p already sends
+  // (source) or receives (destination) one of its packets when the mark
+  // equals seen_epoch_, so no clearing pass. The Span overload reads
+  // only the destinations. Two fields, not one packed word, whose
+  // read-modify-write per request stalls on store forwarding.
+  struct Seen {
+    long long source;
+    long long destination;
+  };
+  std::vector<Seen> seen_;
+  long long seen_epoch_ = 0;
 
   // --- Direct-router scratch (CSR coupler queues) ---
   std::vector<int> coupler_count_;   // packets per coupler
@@ -316,11 +332,12 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 
   // --- h-relation scratch (sized by reserve_h_relation) ---
-  // Window traffic is colored by colorer_ too, before any phase is
-  // routed: the colorer's tables are scratch, and the coloring itself
-  // lands in traffic_coloring_.
+  // Traffic of degree h >= 2 is colored by colorer_ too, before any
+  // phase is routed: the colorer's tables are scratch, and the coloring
+  // itself lands in traffic_coloring_.
   BipartiteMultigraph traffic_{0, 0};  // n x n, edge id == request id
   EdgeColoring traffic_coloring_;      // h colors, one per phase
+  int relation_degree_ = 0;  // h of the last relation: its phase count
   std::vector<int> phase_offsets_;       // h + 1 entries into packets_
   std::vector<int> phase_slot_offsets_;  // h + 1 entries into schedule_
 };

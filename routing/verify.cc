@@ -27,6 +27,8 @@ std::string verify_h_relation(const Topology& topo,
                               const HRelationPlan& plan) {
   const int n = topo.processor_count();
   Network net(topo);
+  // Sized once, so the loads below never regrow and relink the records.
+  net.reserve_packets(as_int(requests.size()));
   for (std::size_t k = 0; k < requests.size(); ++k) {
     const Request& request = requests[k];
     if (request.source < 0 || request.source >= n ||

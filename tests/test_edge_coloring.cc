@@ -5,7 +5,7 @@
 // (validity + exactly Delta colors), and on degenerate shapes
 // (Delta = 1, n = 1, empty graph, a padded size past int) — and for
 // euler-split's list entry color_regular, which must match color() on
-// the same graph.
+// the same graph, as spread() from the list must match spread() on it.
 #include "graph/edge_coloring.h"
 
 #include <algorithm>
@@ -492,6 +492,43 @@ std::vector<int> class_sizes(const EdgeColoring& coloring) {
   std::vector<int> sizes(as_size(coloring.num_colors), 0);
   for (const int c : coloring.color) ++sizes[as_size(c)];
   return sizes;
+}
+
+POPS_TEST(SpreadFromTheListEqualsSpreadOnTheGraph) {
+  // The engine spreads H from its list by source when g > d, where the
+  // reference builder spreads the graph. On H of random permutations,
+  // colored by color_regular, both forms must give one valid spread
+  // with every class at floor(n / g) or ceil(n / g) edges. Where d does
+  // not divide g (3/8, 3/16, 5/12) the alternating-path swaps run, and
+  // read each edge's left vertex from its position.
+  Rng rng(39);
+  EdgeColorer colorer;
+  for (const auto& [d, g] :
+       {std::pair{2, 8}, {3, 8}, {3, 16}, {5, 12}, {8, 64}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    for (int trial = 0; trial < 16; ++trial) {
+      const Permutation pi = Permutation::random(n, rng);
+      std::vector<SortedEdge> list;
+      BipartiteMultigraph h(g, g);
+      for (int source = 0; source < n; ++source) {
+        list.push_back(SortedEdge{source, topo.group_of(pi(source))});
+        h.add_edge(topo.group_of(source), topo.group_of(pi(source)));
+      }
+      EdgeColoring colored;
+      colorer.color_regular(list, d, colored);
+      EdgeColoring by_list = colored;
+      colorer.spread(list, d, g, by_list);
+      EdgeColoring by_graph = colored;
+      colorer.spread(h, g, by_graph);
+      EXPECT_TRUE(by_list.color == by_graph.color);
+      EXPECT_EQ(by_list.num_colors, g);
+      EXPECT_TRUE(is_valid_edge_coloring(h, by_list));
+      for (const int size : class_sizes(by_list)) {
+        EXPECT_TRUE(size == n / g || size == (n + g - 1) / g);
+      }
+    }
+  }
 }
 
 POPS_TEST(SpreadColorsBalancesClassSizes) {

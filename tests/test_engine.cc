@@ -136,9 +136,11 @@ POPS_TEST(EngineSteadyStateNeverGrowsScratch) {
   // on transient allocate-free pairs that a capacity diff cannot see.
   // Permutations are generated before the ban: building a Permutation
   // allocates by design.
+  // 3/8 and 8/64 color and spread H from its list (g > d); the swaps
+  // run only on 3/8, where d does not divide g.
   Rng rng(74);
   for (const auto& [d, g] :
-       {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8}, {16, 16}}) {
+       {std::pair{1, 8}, {4, 4}, {8, 3}, {3, 8}, {16, 16}, {8, 64}}) {
     const Topology topo(d, g);
     const int n = topo.processor_count();
     RoutingEngine engine(topo);
@@ -228,15 +230,17 @@ int max_demand(const Topology& topo, Span<const Transmission> packets) {
 }
 
 POPS_TEST(EngineMatchesTheReferenceTheorem2BitForBit) {
-  // The engine lists H for euler-split, counting-sorts the batches and
-  // writes slots in bulk; the reference (tests/schedule_util.h) builds
-  // H as a graph, scans the list once per batch and pushes one
-  // transmission at a time. Their schedules must be equal, on
-  // permutations and on a permutation routed as an h-relation
-  // whose requests arrive shuffled (a full phase in request order). The
-  // reference colors through the same euler-split kernel as the engine,
-  // so a digest of its output is pinned too: a kernel that pairs or
-  // walks in another order changes it.
+  // The engine lists H for euler-split at every shape, spreading that
+  // list when g > d (2/8, 3/8, 3/16, 8/64), counting-sorts the batches
+  // and writes slots in bulk; the reference (tests/schedule_util.h)
+  // builds H as a graph, colors and spreads the graph, scans the list
+  // once per batch and pushes one transmission at a time. Their
+  // schedules must be equal, on permutations and on a permutation
+  // routed as an h-relation whose requests arrive shuffled (a full
+  // phase in request order). The reference colors through the same
+  // euler-split kernel as the engine, so a digest of its output is
+  // pinned too: a kernel that pairs or walks in another order changes
+  // it.
   constexpr std::uint64_t kPinnedDigest = 0x3d327166a66e079dull;
   Rng rng(83);
   testing::Digest digest;
@@ -297,15 +301,37 @@ std::vector<Request> permutation_union(int n, int h, Rng& rng) {
   return requests;
 }
 
+// Routes every relation on `engine` inside a ban: no arena may grow
+// past the footprint the engine has now, each phase must take exactly
+// its shorter schedule, and the window must deliver.
+void expect_flat_routes(RoutingEngine& engine,
+                        const std::vector<std::vector<Request>>& relations) {
+  const Topology& topo = engine.topology();
+  const ScratchFootprint reserved = engine.scratch_footprint();
+  for (const std::vector<Request>& requests : relations) {
+    {
+      ScopedAllocationBan ban("test: h-relation steady state");
+      engine.route_h_relation(requests);
+      EXPECT_EQ(engine.scratch_footprint(), reserved);
+    }
+    const HRelationPlan plan = h_relation_plan(engine);
+    EXPECT_EQ(engine.schedule().slot_count(),
+              testing::expected_plan_slots(topo, requests, plan));
+    EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
+  }
+}
+
 POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
   // route_h_relation arms no ban of its own: its arenas grow with the
   // relation, not the topology. Once a fresh engine has reserved for
   // the largest relation of a shape (the most requests and the highest
   // degree), every relation within those bounds must route inside a
   // live ban without growing a single arena, and every result must
-  // deliver on the strict simulator. 3/8 has g > d with d not dividing
-  // g, so spread's swaps run.
+  // deliver on the strict simulator. An engine reserved for n requests
+  // of degree 1 must do the same with every relation of degree at most
+  // 1. 3/8 has g > d with d not dividing g, so spread's swaps run.
   Rng rng(76);
+  int theorem2_partials = 0;
   for (const auto& [d, g] :
        {std::pair{1, 8}, {4, 4}, {3, 5}, {8, 2}, {2, 8}, {3, 8}}) {
     const Topology topo(d, g);
@@ -329,48 +355,54 @@ POPS_TEST(HRelationSteadyStateNeverGrowsScratch) {
     // One phase of all n packets, each group's on one coupler: Theorem
     // 2 wins wherever it beats d slots, and colors a d-regular H with
     // the configured backend. Listed by source, then shuffled, so with
-    // euler-split and g <= d H is once a sorted list and once a graph.
+    // euler-split H is once a sorted list and once a graph. Less its
+    // last packet, H is irregular, and alternating path colors it.
     const Permutation rotation = group_rotation(d, g, 1);
-    std::vector<Request> whole;
-    for (int i = 0; i < n; ++i) whole.push_back(Request{i, rotation(i)});
-    relations.push_back(whole);
-    rng.shuffle(whole);
-    relations.push_back(whole);
+    std::vector<Request> by_source;
+    for (int i = 0; i < n; ++i) by_source.push_back(Request{i, rotation(i)});
+    std::vector<Request> shuffled = by_source;
+    rng.shuffle(shuffled);
+    std::vector<Request> partial = by_source;
+    partial.pop_back();
+    relations.push_back(by_source);
+    relations.push_back(shuffled);
+    relations.push_back(partial);
+    const std::vector<std::vector<Request>> matchings = {
+        selves, by_source, shuffled, partial, {}};
 
     for (const auto algorithm : kAllColoringAlgorithms) {
       RouterOptions options;
       options.coloring = algorithm;
       RoutingEngine engine(topo, options);
       engine.reserve_h_relation(n * kMaxDegree, kMaxDegree);
-      const ScratchFootprint reserved = engine.scratch_footprint();
-      for (const std::vector<Request>& requests : relations) {
-        {
-          ScopedAllocationBan ban("test: h-relation steady state");
-          engine.route_h_relation(requests);
-          EXPECT_EQ(engine.scratch_footprint(), reserved);
-        }
-        // Each phase takes exactly its shorter schedule.
-        const HRelationPlan plan = h_relation_plan(engine);
-        EXPECT_EQ(engine.schedule().slot_count(),
-                  testing::expected_plan_slots(topo, requests, plan));
-        EXPECT_EQ(verify_h_relation(topo, requests, plan), "");
+      expect_flat_routes(engine, relations);
+      // A degree-1 reservation sizes no traffic multigraph, and
+      // alternating path only for an irregular H: less than degree 2.
+      RoutingEngine matching(topo, options);
+      matching.reserve_h_relation(n, 1);
+      RoutingEngine wider(topo, options);
+      wider.reserve_h_relation(n, 2);
+      EXPECT_TRUE(matching.scratch_footprint().units <
+                  wider.scratch_footprint().units);
+      expect_flat_routes(matching, matchings);
+      // Theorem 2 wins the partial rotation wherever it beats d slots.
+      const int theorem2 = 2 * ((d + g - 1) / g);
+      if (theorem2 < d) {
+        EXPECT_EQ(matching.route_h_relation(partial).slot_count(), theorem2);
+        ++theorem2_partials;
       }
     }
   }
+  EXPECT_TRUE(theorem2_partials > 0);
 }
 
-POPS_TEST(HRelationPhasesPartitionTheRequests) {
-  // Every request lands in exactly one phase, each phase lists its
-  // requests in ascending order, and no phase sends or receives twice
-  // at one processor (a partial permutation).
-  Rng rng(77);
-  const Topology topo(4, 3);
-  const int n = topo.processor_count();
-  std::vector<Request> requests = permutation_union(n, 3, rng);
-  requests.push_back(Request{0, 0});
-  RoutingEngine engine(topo);
-  engine.route_h_relation(requests);
-  EXPECT_EQ(engine.phase_count(), 4);
+// Every request of the last relation routed on `engine` lands in
+// exactly one phase, each phase lists its requests in ascending order,
+// no phase sends or receives twice at one processor (a partial
+// permutation), and the phases tile the schedule in order.
+void expect_phases_partition(const RoutingEngine& engine,
+                             const std::vector<Request>& requests) {
+  const int n = engine.topology().processor_count();
   std::vector<int> phase_of(requests.size(), -1);
   for (int c = 0; c < engine.phase_count(); ++c) {
     std::vector<bool> sends(as_size(n), false);
@@ -393,7 +425,6 @@ POPS_TEST(HRelationPhasesPartitionTheRequests) {
   }
   for (const int c : phase_of) EXPECT_TRUE(c >= 0);
   EXPECT_ABORTS(engine.phase_packets(engine.phase_count()));
-  // The phases tile the schedule, in order.
   const Span<const int> offsets = engine.phase_slot_offsets();
   EXPECT_EQ(offsets.count(), engine.phase_count() + 1);
   EXPECT_EQ(offsets[0], 0);
@@ -402,6 +433,55 @@ POPS_TEST(HRelationPhasesPartitionTheRequests) {
   }
   EXPECT_EQ(offsets[as_size(engine.phase_count())],
             engine.schedule().slot_count());
+}
+
+POPS_TEST(HRelationPhasesPartitionTheRequests) {
+  Rng rng(77);
+  {
+    const Topology topo(4, 3);
+    std::vector<Request> requests =
+        permutation_union(topo.processor_count(), 3, rng);
+    requests.push_back(Request{0, 0});
+    RoutingEngine engine(topo);
+    engine.route_h_relation(requests);
+    EXPECT_EQ(engine.phase_count(), 4);
+    expect_phases_partition(engine, requests);
+  }
+  // The degree-1 boundary at scale: one repeated destination (the last
+  // request's) or source (the second's) in a permutation makes two
+  // phases; the permutation shuffled and cut to n - 1 requests is one
+  // phase, the requests in order with ids 0..n - 2.
+  for (const auto& [d, g] : {std::pair{8, 64}, {32, 32}}) {
+    const Topology topo(d, g);
+    const int n = topo.processor_count();
+    const Permutation pi = Permutation::random(n, rng);
+    std::vector<Request> permutation;
+    for (int i = 0; i < n; ++i) permutation.push_back(Request{i, pi(i)});
+    std::vector<Request> repeated_destination = permutation;
+    repeated_destination[as_size(n - 1)].destination = pi(0);
+    std::vector<Request> repeated_source = permutation;
+    repeated_source[1].source = 0;
+    std::vector<Request> cut = permutation;
+    rng.shuffle(cut);
+    cut.pop_back();
+    RoutingEngine engine(topo);
+    for (const std::vector<Request>& requests :
+         {repeated_destination, repeated_source}) {
+      engine.route_h_relation(requests);
+      EXPECT_EQ(engine.phase_count(), 2);
+      expect_phases_partition(engine, requests);
+    }
+    engine.route_h_relation(cut);
+    EXPECT_EQ(engine.phase_count(), 1);
+    expect_phases_partition(engine, cut);
+    const Span<const Transmission> phase = engine.phase_packets(0);
+    EXPECT_EQ(phase.count(), n - 1);
+    for (int e = 0; e < phase.count(); ++e) {
+      EXPECT_EQ(phase[as_size(e)].source, cut[as_size(e)].source);
+      EXPECT_EQ(phase[as_size(e)].destination, cut[as_size(e)].destination);
+      EXPECT_EQ(phase[as_size(e)].packet, e);
+    }
+  }
 }
 
 // True iff the last h-relations of `a` and `b` have the same phases:
