@@ -257,6 +257,13 @@ std::string Network::stranded() const {
                  stranded->at, " after ", stats_.slots_executed, " slots");
 }
 
+bool Network::delivers(Span<const Transmission> packets,
+                       const FlatSchedule& schedule) {
+  reset();
+  load_packets(packets);
+  return execute(schedule) && all_delivered();
+}
+
 PacketBuffer Network::buffer(int processor) const {
   POPS_CHECK(processor >= 0 && processor < topo_.processor_count(),
              "buffer: processor out of range");

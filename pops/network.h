@@ -35,6 +35,8 @@
 // A verifier loads its traffic, executes the schedule and takes the
 // verdict: failure() names the first broken rule, and stranded() the
 // packet left away from its destination at the lowest processor.
+// delivers() is that whole check for a packet list in one call; the
+// RoutingEngine verifies every route through it.
 #pragma once
 
 #include <cstdint>
@@ -200,6 +202,12 @@ class POPS_THREAD_COMPATIBLE Network {
   /// processor that does not, with its id, source, destination, holder
   /// and the slots executed. Formats (allocates) only in that case.
   std::string stranded() const;
+
+  /// The whole check for a packet list: reset(), load_packets(packets),
+  /// then true iff execute(schedule) succeeds and all_delivered(). On
+  /// false, failure() names the broken rule, or, when ok(), stranded()
+  /// names the stranded packet.
+  bool delivers(Span<const Transmission> packets, const FlatSchedule& schedule);
 
   /// False after the first rejected slot; failure() says why.
   bool ok() const { return failure_.empty(); }

@@ -35,37 +35,30 @@ BatchRouter::~BatchRouter() {
 
 void BatchRouter::worker_loop(int id) {
   RoutingEngine& engine = engines_[as_size(id)];
+  long long taken = 0;  // the last batch this worker joined
   for (;;) {
+    Batch batch;
     {
       MutexLock lock(&mu_);
-      while (!stopping_ && !has_batch_work()) cv_work_.wait(mu_);
-      if (!has_batch_work()) return;  // stopping_, and nothing left to do
-      ++batch_workers_;
+      while (!stopping_ && published_ == taken) cv_work_.wait(mu_);
+      if (stopping_) return;
+      taken = published_;
+      batch = batch_;
     }
-    // Snapshot the published batch. The plain fields were written
-    // under mu_ before the workers were woken, and this worker just
-    // released mu_, so the reads are ordered; route_batch does not
-    // reuse them until batch_workers_ drops back to zero.
-    const Permutation* perms = batch_perms_;
-    FlatSchedule* results = batch_results_;
-    const RouteOptions options = batch_options_;
-    const int count = batch_count_.load(std::memory_order_relaxed);
     for (;;) {
-      const int i = batch_next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
+      const int i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= batch.count) break;
       // Copy assignment reuses the result slot's arrays, so a warm
       // slot never reallocates.
-      results[as_size(i)] = engine.route(perms[as_size(i)], options);
-      batch_done_.fetch_add(1, std::memory_order_release);
+      batch.results[as_size(i)] =
+          engine.route(batch.perms[as_size(i)], batch.options);
     }
-    {
-      MutexLock lock(&mu_);
-      --batch_workers_;
-      if (batch_workers_ == 0 &&
-          batch_done_.load(std::memory_order_acquire) ==
-              batch_count_.load(std::memory_order_relaxed)) {
-        cv_done_.notify_all();
-      }
+    // The results were written before this lock; the caller reads them
+    // after taking it and seeing finished_, so the mutex orders both.
+    MutexLock lock(&mu_);
+    if (--busy_ == 0) {
+      finished_ = taken;
+      cv_done_.notify_all();
     }
   }
 }
@@ -77,34 +70,17 @@ void BatchRouter::route_batch(Span<const Permutation> perms,
              "route_batch: one result slot per permutation");
   const int count = perms.count();
   if (count == 0) return;
-  // One batch at a time; concurrent callers queue here without
-  // touching the workers' lock.
-  MutexLock client(&client_mu_);
-  {
-    MutexLock lock(&mu_);
-    POPS_CHECK(!stopping_, "route_batch on a stopping BatchRouter");
-    batch_perms_ = perms.data();
-    batch_results_ = results.data();
-    batch_options_ = options;
-    batch_done_.store(0, std::memory_order_relaxed);
-    batch_next_.store(0, std::memory_order_relaxed);
-    batch_count_.store(count, std::memory_order_relaxed);
-  }
+  MutexLock lock(&mu_);
+  POPS_CHECK(!stopping_, "route_batch on a stopping BatchRouter");
+  // Another caller's batch is in flight: queue behind it. At busy_ == 0
+  // every worker has left the last claim loop, so no one sees the reset.
+  while (busy_ > 0) cv_done_.wait(mu_);
+  batch_ = Batch{perms.data(), results.data(), options, count};
+  next_.store(0, std::memory_order_relaxed);
+  busy_ = thread_count();
+  const long long mine = ++published_;
   cv_work_.notify_all();
-  {
-    MutexLock lock(&mu_);
-    // Wait for all results AND for every claimer to leave the claim
-    // loop: a straggler may still bump batch_next_ after the last
-    // result lands, and the counters must not be recycled under it.
-    while (batch_done_.load(std::memory_order_acquire) < count ||
-           batch_workers_ > 0) {
-      cv_done_.wait(mu_);
-    }
-    batch_count_.store(0, std::memory_order_relaxed);
-    batch_next_.store(0, std::memory_order_relaxed);
-    batch_perms_ = nullptr;
-    batch_results_ = nullptr;
-  }
+  while (finished_ < mine) cv_done_.wait(mu_);
 }
 
 ScratchFootprint BatchRouter::scratch_footprint() const {

@@ -9,16 +9,20 @@
 // (support/mutex.h, POPS_THREAD_COMPATIBLE) was built around: every
 // engine is constructed up front, workers only ever touch their own
 // engine, and all cross-thread traffic is batch indices.
-// After construction the router itself allocates nothing: work is
-// handed out through one atomic counter, and results are copied into
-// caller-provided FlatSchedules (which stop allocating once their
-// arrays are warm).
+// After construction the router itself allocates nothing: results are
+// copied into caller-provided FlatSchedules (which stop allocating
+// once their arrays are warm).
 //
 // route_batch(perms, results, options) blocks until every permutation
-// is routed into its result slot. Workers claim indices with a single
+// is routed into its result slot. Batches are numbered and handed out
+// under one lock: batch k is published only once every worker has
+// left batch k - 1, each worker joins every batch exactly once, and
+// the last one out marks it finished. Concurrent route_batch callers
+// queue on the same lock and run one batch at a time. Within a batch,
+// workers claim indices from one atomic counter with a single
 // fetch_add, so per-item overhead is tens of nanoseconds and small
-// topologies still scale. Concurrent route_batch callers are
-// serialized internally.
+// topologies still scale; the counter is reset only while no worker
+// is claiming.
 #pragma once
 
 #include <atomic>
@@ -59,10 +63,8 @@ class BatchRouter {
   /// fixed. Results are bitwise identical to routing the same
   /// permutations sequentially on one engine.
   /// Concurrent route_batch calls are serialized.
-  void route_batch(Span<const Permutation> perms,
-                   Span<FlatSchedule> results,
-                   const RouteOptions& options = {})
-      POPS_EXCLUDES(mu_, client_mu_);
+  void route_batch(Span<const Permutation> perms, Span<FlatSchedule> results,
+                   const RouteOptions& options = {}) POPS_EXCLUDES(mu_);
 
   int thread_count() const { return as_int(workers_.size()); }
   const Topology& topology() const { return topo_; }
@@ -73,39 +75,33 @@ class BatchRouter {
   ScratchFootprint scratch_footprint() const;
 
  private:
+  /// One route_batch call: the caller's arrays and options.
+  struct Batch {
+    const Permutation* perms = nullptr;
+    FlatSchedule* results = nullptr;
+    RouteOptions options;
+    int count = 0;
+  };
+
   void worker_loop(int id);
-  /// Work is pending: claimable indices remain. The atomics make this
-  /// safe to evaluate anywhere; the wait loop evaluates it under mu_.
-  bool has_batch_work() const {
-    return batch_next_.load(std::memory_order_relaxed) <
-           batch_count_.load(std::memory_order_relaxed);
-  }
 
   Topology topo_;
   std::vector<RoutingEngine> engines_;  // index == worker id
   std::vector<std::thread> workers_;
 
   Mutex mu_;
-  /// Serializes route_batch callers (never held together with mu_
-  /// except briefly inside route_batch itself).
-  Mutex client_mu_;
-  CondVar cv_work_;  // workers wait for a batch / stop
-  CondVar cv_done_;  // route_batch waits for completion
+  CondVar cv_work_;  // workers wait for the next batch or the stop
+  CondVar cv_done_;  // callers wait for the pool or their batch
+  Batch batch_ POPS_GUARDED_BY(mu_);
+  // Batches handed out, and the last batch every worker has left.
+  long long published_ POPS_GUARDED_BY(mu_) = 0;
+  long long finished_ POPS_GUARDED_BY(mu_) = 0;
+  int busy_ POPS_GUARDED_BY(mu_) = 0;  // workers still on batch_
   bool stopping_ POPS_GUARDED_BY(mu_) = false;
-
-  // The caller's arrays and options are published by plain writes made
-  // under mu_ before the workers are woken (the mutex hand-off orders
-  // them); the atomics then carry index claims and completions without
-  // further locking. batch_workers_ counts workers inside the claim
-  // loop so route_batch can reset the counters only after the last
-  // straggler has left.
-  const Permutation* batch_perms_ = nullptr;
-  FlatSchedule* batch_results_ = nullptr;
-  RouteOptions batch_options_;
-  std::atomic<int> batch_count_{0};
-  std::atomic<int> batch_next_{0};
-  std::atomic<int> batch_done_{0};
-  int batch_workers_ POPS_GUARDED_BY(mu_) = 0;
+  // The next index to claim. Stored only under mu_ while busy_ is 0,
+  // and read by workers after they take batch_ under mu_, so the mutex
+  // orders every reset before the claims that follow it.
+  std::atomic<int> next_{0};
 };
 
 }  // namespace pops

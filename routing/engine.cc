@@ -68,7 +68,7 @@ const FlatSchedule& RoutingEngine::route(const Permutation& pi,
   // The Permutation constructor already validated bijectivity.
   load_permutation(Span<const int>(pi.images()));
   emit_permutation(strategy);
-  if (options.verify || strategy == RouteStrategy::kBest) verify_or_abort();
+  if (strategy == RouteStrategy::kBest) verify_or_abort();
   return schedule_;
 }
 
@@ -482,9 +482,7 @@ void RoutingEngine::verify_or_abort() {
     ScopedAllocationAllow allow;
     reserve_verification();
   }
-  net_->reset();
-  net_->load_packets(packets_);
-  if (net_->execute(schedule_) && net_->all_delivered()) return;
+  if (net_->delivers(packets_, schedule_)) return;
   // Cold failure path: composing the diagnostic allocates, and the
   // abort must name the broken schedule, not trip the guard.
   ScopedAllocationAllow allow;

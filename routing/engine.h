@@ -61,11 +61,11 @@
 // an arena (asserted by tests that compare scratch_footprint() with
 // the footprint at construction). The verification simulator is built
 // later, by reserve_verification(), reserve_h_relation() or the first
-// route that verifies. Verified permutation routes (every kBest route)
-// and every route_h_relation load the packet list on it, execute
-// schedule() and abort unless every packet arrives, naming the broken
-// rule or the stranded packet; unverified permutation routes never
-// touch it.
+// route that verifies. Every kBest route and every route_h_relation
+// checks its packet list and schedule() on it in one
+// Network::delivers() call and aborts unless every packet arrives,
+// naming the broken rule or the stranded packet; kDirect and kTheorem2
+// routes never touch it.
 //
 // The permutation routes and route_h_relation share one packet list and one
 // schedule: schedule() is the last schedule any route built. A relation of
@@ -130,15 +130,15 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// theorem2_slots(topology()) slots; kDirect builds direct, exactly
   /// M slots, M the most packets on one coupler; kBest finds M in one
   /// pass and builds only the shorter of the two, direct on ties.
-  /// options.verify executes the schedule on the internal strict
-  /// simulator and aborts on any violation; kBest always verifies the
-  /// schedule it returns. The coloring backend is fixed at
-  /// construction (RouterOptions). Returns schedule(), valid until the
-  /// next route of any kind on this engine.
+  /// kBest executes the schedule it returns on the internal strict
+  /// simulator and aborts on any violation; kDirect and kTheorem2 never
+  /// verify (verify_schedule checks any schedule). The coloring backend
+  /// is fixed at construction (RouterOptions). Returns schedule(), valid
+  /// until the next route of any kind on this engine.
   ///
   /// Allocation-free from the first call, under a ScopedAllocationBan
-  /// of its own; the first verifying route builds the simulator under
-  /// an allowance.
+  /// of its own; the first kBest route builds the simulator under an
+  /// allowance unless reserve_verification() already has.
   const FlatSchedule& route(const Permutation& pi,
                             const RouteOptions& options = {});
 
@@ -210,9 +210,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   void reserve_h_relation(int requests, int degree);
   /// Builds the verification simulator now, sized for permutation
   /// traffic, so that no later verifying route builds it: with it, a
-  /// verifying route (and every kBest route) touches only arenas that
-  /// exist. Routes nothing. The first route that verifies calls it
-  /// itself when no one has.
+  /// kBest route touches only arenas that exist. Routes nothing. The
+  /// first route that verifies calls it itself when no one has.
   void reserve_verification();
   /// The last schedule any route built: a permutation's, named by
   /// source, or the last route_h_relation's, named by request id.
@@ -273,13 +272,13 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   /// or a destination repeated (false), or König's h color classes.
   bool load_one_phase(Span<const Request> requests);
   void load_konig_phases(Span<const Request> requests);
-  /// Loads packets_ (a permutation's n packets or an h-relation's
-  /// requests) on the internal simulator, executes schedule_ and aborts
-  /// unless it delivers every packet. The abort names the route (a
-  /// permutation's strategy, or a window) and carries the simulator's
-  /// verdict: the broken rule (Network::failure()) or the stranded
-  /// packet (Network::stranded()). Builds the simulator on its first
-  /// call, under an allowance.
+  /// Checks that schedule_ delivers packets_ (a permutation's n packets
+  /// or an h-relation's requests) in one Network::delivers() call on
+  /// the internal simulator, and aborts unless it does. The abort names
+  /// the route (a permutation's strategy, or a window) and carries the
+  /// simulator's verdict: the broken rule (Network::failure()) or the
+  /// stranded packet (Network::stranded()). Builds the simulator on its
+  /// first call, under an allowance.
   void verify_or_abort();
 
   Topology topo_;
@@ -327,7 +326,8 @@ class POPS_THREAD_COMPATIBLE RoutingEngine {
   // --- Verification ---
   // Built by reserve_verification(), reserve_h_relation() or the first
   // route that verifies: the simulator's records, buckets and stamp
-  // arrays are a large arena, and unverified routes never touch them.
+  // arrays are a large arena, and kDirect and kTheorem2 routes never
+  // touch them.
   std::optional<Network> net_;
   RouteStrategy last_strategy_ = RouteStrategy::kTheorem2;
 

@@ -29,13 +29,14 @@
 //   RouteResult result = route(topo, pi, RouteOptions{...});
 //
 // which selects a strategy (Theorem 2, the greedy direct router, or
-// the verified shorter of the two), optionally verifies the
-// schedule on the strict simulator, and returns a FlatSchedule plus
-// the strategy that produced it. Bulk callers hold a RoutingEngine
-// and call engine.route(pi, options) to reuse the scratch arenas;
-// many-permutation throughput callers use BatchRouter::route_batch
-// (routing/batch_router.h); h-relations of Requests go through
-// RoutingEngine::route_h_relation (routing/h_relation.h wraps it).
+// the verified shorter of the two) and returns a FlatSchedule plus
+// the strategy that produced it; verify_schedule (routing/verify.h)
+// checks any schedule on the strict simulator. Bulk callers hold a
+// RoutingEngine and call engine.route(pi, options) to reuse the
+// scratch arenas; many-permutation throughput callers use
+// BatchRouter::route_batch (routing/batch_router.h); h-relations of
+// Requests go through RoutingEngine::route_h_relation
+// (routing/h_relation.h wraps it).
 #pragma once
 
 #include <string>
@@ -57,8 +58,8 @@ enum class RouteStrategy {
   kTheorem2 = 1,
   /// One pass over the packets finds M, the most packets on one
   /// coupler (the direct schedule's length); only the shorter of the
-  /// two schedules is built, direct on ties. The schedule returned is
-  /// always verified, regardless of RouteOptions::verify. Every
+  /// two schedules is built, direct on ties. The only strategy whose
+  /// schedule is always verified on the strict simulator. Every
   /// h-relation phase is routed by the same rule and verified.
   kBest = 2,
 };
@@ -77,11 +78,6 @@ struct RouterOptions {
 /// RoutingEngine::route / BatchRouter::route_batch).
 struct RouteOptions {
   RouteStrategy strategy = RouteStrategy::kBest;
-  /// Execute the schedule on the strict simulator and abort on any
-  /// model violation or misdelivery. kBest always verifies the
-  /// schedule it returns; for kDirect/kTheorem2 this buys the same
-  /// guarantee at the cost of one simulated execution.
-  bool verify = false;
 };
 
 /// What route() returns: the schedule in the canonical flat layout,
@@ -106,10 +102,10 @@ struct Request {
 int theorem2_slots(const Topology& topo);
 
 /// One-shot unified entry point: routes pi with options.strategy and
-/// returns the verified-on-request result. Constructs a transient
-/// RoutingEngine with the default RouterOptions per call — bulk
-/// callers, and callers that pick a coloring backend, hold an engine
-/// (or a BatchRouter) instead.
+/// returns the result, verified when the strategy is kBest. Constructs
+/// a transient RoutingEngine with the default RouterOptions per call —
+/// bulk callers, and callers that pick a coloring backend, hold an
+/// engine (or a BatchRouter) instead.
 RouteResult route(const Topology& topo, const Permutation& pi,
                   const RouteOptions& options = {});
 

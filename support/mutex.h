@@ -26,7 +26,6 @@ class POPS_CAPABILITY("mutex") Mutex {
 
   void lock() POPS_ACQUIRE() { mu_.lock(); }
   void unlock() POPS_RELEASE() { mu_.unlock(); }
-  bool try_lock() POPS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;
@@ -46,11 +45,13 @@ class POPS_SCOPED_CAPABILITY MutexLock {
   Mutex* const mu_;
 };
 
-// Condition variable over the annotated Mutex. wait() releases and
-// re-acquires the capability internally, which clang's intra-procedural
-// thread-safety analysis cannot model — the method carries
-// POPS_REQUIRES so call sites are still checked for holding the lock,
-// and the analysis is switched off only inside the one-line body.
+// Condition variable over the annotated Mutex, through
+// std::condition_variable_any, which needs only the Mutex's lock() and
+// unlock(). wait() releases and re-acquires the capability internally,
+// which clang's intra-procedural thread-safety analysis cannot model —
+// the method carries POPS_REQUIRES so call sites are still checked for
+// holding the lock, and the analysis is switched off only inside the
+// one-line body.
 // Callers use the standard predicate-loop shape:
 //
 //   MutexLock lock(&mu_);
@@ -64,7 +65,6 @@ class CondVar {
   void wait(Mutex& mu) POPS_REQUIRES(mu) POPS_NO_THREAD_SAFETY_ANALYSIS {
     cv_.wait(mu);
   }
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

@@ -34,10 +34,6 @@
 /// given capability.
 #define POPS_GUARDED_BY(x) POPS_THREAD_ANNOTATION_ATTRIBUTE(guarded_by(x))
 
-/// The pointed-to data (not the pointer itself) is guarded.
-#define POPS_PT_GUARDED_BY(x) \
-  POPS_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
-
 /// The function must be called with the listed capabilities held.
 #define POPS_REQUIRES(...) \
   POPS_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
@@ -55,14 +51,6 @@
 /// The function releases the listed capabilities.
 #define POPS_RELEASE(...) \
   POPS_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-
-/// The function acquires the capability iff it returns `value`.
-#define POPS_TRY_ACQUIRE(...) \
-  POPS_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
-/// The function returns a reference to the given capability.
-#define POPS_RETURN_CAPABILITY(x) \
-  POPS_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
 
 /// Escape hatch: the function body is not analyzed. Use only for
 /// init/teardown paths the analysis cannot model; say why at the site.

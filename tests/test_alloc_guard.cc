@@ -97,10 +97,10 @@ POPS_TEST(EngineConstructionInsideBanAborts) {
 }
 
 // Routes a freshly constructed `engine` (POPS(4, 4)) every way under
-// the external ban `scope`: with each builder, verified, and with kBest
-// on inputs each builder wins. Construction alone must have sized every
-// arena; the first verifying route builds the simulator under the
-// engine's own allowance.
+// the external ban `scope`: with each builder, and with kBest on inputs
+// each builder wins. Construction alone must have sized every arena;
+// the first kBest route builds the simulator under the engine's own
+// allowance and runs it inside the ban.
 void route_every_way_after_construction(RoutingEngine& engine,
                                         const char* scope) {
   const Topology& topo = engine.topology();
@@ -113,8 +113,7 @@ void route_every_way_after_construction(RoutingEngine& engine,
   EXPECT_TRUE(engine.route_permutation(steady).slot_count() > 0);
   EXPECT_TRUE(engine.route_direct(steady).slot_count() > 0);
   EXPECT_TRUE(
-      engine.route(steady, {RouteStrategy::kTheorem2, /*verify=*/true})
-          .slot_count() > 0);
+      engine.route(steady, {RouteStrategy::kTheorem2}).slot_count() > 0);
   EXPECT_TRUE(engine.route(steady, {RouteStrategy::kBest}).slot_count() > 0);
   EXPECT_TRUE(engine.route(rotation, {RouteStrategy::kBest}).slot_count() >
               0);

@@ -1,14 +1,15 @@
 // BatchRouter contract tests: batch output must be bitwise identical
 // to routing the same permutations sequentially on one engine (for
-// every coloring backend and strategy, with and without verification,
-// at one and several threads, on fixed and seeded random shapes and on
-// the small and medium bench tiers' shapes; the one-shot route() must
-// match too), and the pool's scratch footprint must stay flat across a
-// soak — the no-allocation-after-construction claim, checked both by
-// footprint diff and by the per-engine allocation bans in
-// POPS_ALLOC_GUARD builds.
+// every coloring backend and strategy, at one and several threads, on
+// fixed and seeded random shapes and on the small and medium bench
+// tiers' shapes; the one-shot route() must match too), also when two
+// client threads share one router, and the pool's scratch footprint
+// must stay flat across a soak — the no-allocation-after-construction
+// claim, checked both by footprint diff and by the per-engine
+// allocation bans in POPS_ALLOC_GUARD builds.
 #include <algorithm>
 #include <initializer_list>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,10 +26,10 @@ namespace pops {
 namespace {
 
 // Routes `perms` through a BatchRouter of each thread count on the
-// coloring backend `algorithm`, with every strategy, verified and not,
-// and expects each result to equal a sequential engine's bit for bit
-// and to pass the strict simulator. On the default backend the
-// one-shot route() must match too.
+// coloring backend `algorithm`, with every strategy, and expects each
+// result to equal a sequential engine's bit for bit and to pass the
+// strict simulator. On the default backend the one-shot route() must
+// match too.
 void expect_batch_matches_sequential(const Topology& topo,
                                      const std::vector<Permutation>& perms,
                                      ColoringAlgorithm algorithm,
@@ -49,24 +50,20 @@ void expect_batch_matches_sequential(const Topology& topo,
     for (const RouteStrategy strategy :
          {RouteStrategy::kDirect, RouteStrategy::kTheorem2,
           RouteStrategy::kBest}) {
-      for (const bool verify : {false, true}) {
-        RouteOptions options;
-        options.strategy = strategy;
-        options.verify = verify;
-        std::vector<FlatSchedule> results(perms.size());
-        router.route_batch(perms, results, options);
-        for (std::size_t i = 0; i < perms.size(); ++i) {
-          const FlatSchedule& expected = sequential.route(perms[i], options);
-          EXPECT_TRUE(testing::same_schedule(results[i], expected));
-          EXPECT_TRUE(verify_schedule(topo, perms[i], results[i]).ok);
-          // The one-shot route() runs a transient engine on the
-          // default backend.
-          if (algorithm != RouterOptions{}.coloring) continue;
-          const RouteResult one_shot = route(topo, perms[i], options);
-          EXPECT_TRUE(testing::same_schedule(one_shot.schedule, expected));
-          EXPECT_TRUE(one_shot.strategy == sequential.last_strategy());
-          EXPECT_EQ(one_shot.slot_count, expected.slot_count());
-        }
+      const RouteOptions options{strategy};
+      std::vector<FlatSchedule> results(perms.size());
+      router.route_batch(perms, results, options);
+      for (std::size_t i = 0; i < perms.size(); ++i) {
+        const FlatSchedule& expected = sequential.route(perms[i], options);
+        EXPECT_TRUE(testing::same_schedule(results[i], expected));
+        EXPECT_TRUE(verify_schedule(topo, perms[i], results[i]).ok);
+        // The one-shot route() runs a transient engine on the default
+        // backend.
+        if (algorithm != RouterOptions{}.coloring) continue;
+        const RouteResult one_shot = route(topo, perms[i], options);
+        EXPECT_TRUE(testing::same_schedule(one_shot.schedule, expected));
+        EXPECT_TRUE(one_shot.strategy == sequential.last_strategy());
+        EXPECT_EQ(one_shot.slot_count, expected.slot_count());
       }
     }
   }
@@ -167,7 +164,60 @@ POPS_TEST(BackToBackBatchesReuseTheSamePool) {
     router.route_batch(perms, results);
     for (std::size_t i = 0; i < perms.size(); ++i) {
       EXPECT_TRUE(
-        testing::same_schedule(results[i], sequential.route(perms[i])));
+          testing::same_schedule(results[i], sequential.route(perms[i])));
+    }
+  }
+}
+
+POPS_TEST(ConcurrentCallersAreSerialized) {
+  // Two client threads share one router, each routing its own half of a
+  // seeded pool, round after round, with kBest so the workers verify
+  // too. In round r, client c routes the first 1 + (r + c) % 8
+  // permutations of its half into slots [8r, 8r + 8) of its own result
+  // array; the rest of those slots must stay empty.
+  Rng rng(87);
+  const Topology topo(4, 4);
+  constexpr int kHalf = 8;
+  constexpr int kRounds = 25;
+  std::vector<Permutation> pool;
+  for (int i = 0; i < 2 * kHalf; ++i) {
+    pool.push_back(Permutation::random(topo.processor_count(), rng));
+  }
+  BatchRouterConfig config;
+  config.threads = 3;
+  BatchRouter router(topo, config);
+  const RouteOptions options{RouteStrategy::kBest};
+  const auto batch_size = [](int c, int round) {
+    return 1 + (round + c) % kHalf;
+  };
+  std::vector<std::vector<FlatSchedule>> results(
+      2, std::vector<FlatSchedule>(kHalf * kRounds));
+  const auto client = [&](int c) {
+    const Permutation* half = pool.data() + c * kHalf;
+    for (int round = 0; round < kRounds; ++round) {
+      const std::size_t count = as_size(batch_size(c, round));
+      FlatSchedule* row = results[as_size(c)].data() + round * kHalf;
+      router.route_batch(Span<const Permutation>(half, count),
+                         Span<FlatSchedule>(row, count), options);
+    }
+  };
+  std::thread first(client, 0);
+  std::thread second(client, 1);
+  first.join();
+  second.join();
+  RoutingEngine sequential(topo);
+  for (int c = 0; c < 2; ++c) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kHalf; ++i) {
+        const FlatSchedule& result =
+            results[as_size(c)][as_size(round * kHalf + i)];
+        if (i >= batch_size(c, round)) {
+          EXPECT_EQ(result.slot_count(), 0);
+          continue;
+        }
+        EXPECT_TRUE(testing::same_schedule(
+            result, sequential.route(pool[as_size(c * kHalf + i)], options)));
+      }
     }
   }
 }

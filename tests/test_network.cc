@@ -518,6 +518,30 @@ POPS_TEST(StrandedNamesThePacketAtTheLowestProcessor) {
   }
 }
 
+POPS_TEST(DeliversNeedsEveryPacketAtItsDestination) {
+  // delivers() is the engine's whole check. A schedule that obeys every
+  // slot rule but strands a packet must fail it, with ok() still true.
+  const Topology topo(2, 2);
+  Network net(topo);
+  const std::vector<Transmission> packets = {{0, 3, 0}, {1, 2, 1}};
+  FlatSchedule strands;
+  strands.begin_slot();
+  strands.push(Transmission{0, 2, 0});
+  EXPECT_FALSE(net.delivers(packets, strands));
+  EXPECT_TRUE(net.ok());
+  EXPECT_EQ(net.stranded(),
+            "packet 1 (1 -> 2) stranded at processor 1 after 1 slots");
+  // Both packets cross coupler c(1, 0), so they take a slot each.
+  FlatSchedule delivers;
+  delivers.begin_slot();
+  delivers.push(Transmission{0, 3, 0});
+  delivers.begin_slot();
+  delivers.push(Transmission{1, 2, 1});
+  EXPECT_TRUE(net.delivers(packets, delivers));
+  EXPECT_EQ(net.stranded(), "");
+  EXPECT_EQ(net.stats().slots_executed, 2LL);
+}
+
 // The simulator's contract in its plainest form: one packet list per
 // processor. A slot is checked rule by rule in transmission order; then
 // each sender's packet is found (in order of first appearance), all of

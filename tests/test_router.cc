@@ -68,38 +68,31 @@ POPS_TEST(RoutesEveryPermutationClassAtTheBound) {
   }
 }
 
-// Satellite coverage for the unified entry point: every strategy, with
-// and without verification, yields a verified schedule and coherent
-// RouteResult fields. (options.verify aborts on a bad schedule, so a
-// returning call IS the assertion for the verify=true half.)
-POPS_TEST(RouteEveryStrategyWithAndWithoutVerify) {
+// Satellite coverage for the unified entry point: every strategy
+// yields a verified schedule and coherent RouteResult fields.
+POPS_TEST(RouteEveryStrategy) {
   Rng rng(21);
   for (const auto& [d, g] : {std::pair{1, 4}, {4, 4}, {8, 2}, {3, 5}}) {
     const Topology topo(d, g);
     const Permutation pi =
         Permutation::random(topo.processor_count(), rng);
     for (const RouteStrategy strategy : kAllStrategies) {
-      for (const bool verify : {false, true}) {
-        RouteOptions options;
-        options.strategy = strategy;
-        options.verify = verify;
-        const RouteResult result = route(topo, pi, options);
-        EXPECT_EQ(result.slot_count, result.schedule.slot_count());
-        EXPECT_TRUE(result.slot_count >= 1);
-        EXPECT_TRUE(verify_schedule(topo, pi, result.schedule).ok);
-        if (strategy == RouteStrategy::kTheorem2) {
-          EXPECT_EQ(result.slot_count, theorem2_slots(topo));
-          EXPECT_TRUE(result.strategy == RouteStrategy::kTheorem2);
-        }
-        if (strategy == RouteStrategy::kDirect) {
-          EXPECT_TRUE(result.strategy == RouteStrategy::kDirect);
-        }
-        if (strategy == RouteStrategy::kBest) {
-          // kBest reports the concrete winner, never itself, and the
-          // winner is no worse than the Theorem 2 bound.
-          EXPECT_TRUE(result.strategy != RouteStrategy::kBest);
-          EXPECT_TRUE(result.slot_count <= theorem2_slots(topo));
-        }
+      const RouteResult result = route(topo, pi, {strategy});
+      EXPECT_EQ(result.slot_count, result.schedule.slot_count());
+      EXPECT_TRUE(result.slot_count >= 1);
+      EXPECT_TRUE(verify_schedule(topo, pi, result.schedule).ok);
+      if (strategy == RouteStrategy::kTheorem2) {
+        EXPECT_EQ(result.slot_count, theorem2_slots(topo));
+        EXPECT_TRUE(result.strategy == RouteStrategy::kTheorem2);
+      }
+      if (strategy == RouteStrategy::kDirect) {
+        EXPECT_TRUE(result.strategy == RouteStrategy::kDirect);
+      }
+      if (strategy == RouteStrategy::kBest) {
+        // kBest reports the concrete winner, never itself, and the
+        // winner is no worse than the Theorem 2 bound.
+        EXPECT_TRUE(result.strategy != RouteStrategy::kBest);
+        EXPECT_TRUE(result.slot_count <= theorem2_slots(topo));
       }
     }
   }
