@@ -58,9 +58,9 @@ enum class RouteStrategy {
   kTheorem2 = 1,
   /// One pass over the packets finds M, the most packets on one
   /// coupler (the direct schedule's length); only the shorter of the
-  /// two schedules is built, direct on ties. The only strategy whose
-  /// schedule is always verified on the strict simulator. Every
-  /// h-relation phase is routed by the same rule and verified.
+  /// two schedules is built, direct on ties. The only strategy that
+  /// verifies its schedule on the strict simulator. Every h-relation
+  /// phase is routed by the same rule and verified.
   kBest = 2,
 };
 
